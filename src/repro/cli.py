@@ -602,9 +602,9 @@ def _graceful_sigterm() -> Iterator[None]:
     """Translate SIGTERM into :class:`KeyboardInterrupt` for the session.
 
     :meth:`LocalizationService.run` treats ``KeyboardInterrupt`` as a
-    graceful shutdown (drain + final checkpoint snapshot + summary), so
-    routing SIGTERM through the same path makes ``kill <pid>`` as clean
-    as Ctrl-C. Restores the previous handler on exit; degrades to a
+    graceful shutdown (checkpoint sealed at the last complete tick,
+    drain, summary), so routing SIGTERM through the same path makes
+    ``kill <pid>`` as clean as Ctrl-C. Restores the previous handler on exit; degrades to a
     no-op off the main thread (signal handlers cannot be installed
     there).
     """

@@ -5,7 +5,7 @@ channel); this module models failure of the *harness itself* — the
 process serving the session dying mid-run. :class:`CrashPoint` is the
 deterministic stand-in for ``kill -9`` used by the recovery tests, the
 CI crash-recovery smoke job and ``repro serve --kill-at``: when the
-session's dispatcher passes the scheduled simulated time, the hook
+session loop passes the scheduled simulated time, the hook
 raises :class:`SimulatedCrash` *without* draining the batcher or writing
 a final checkpoint — exactly the state a hard kill leaves behind, so a
 resume exercises the real write-ahead recovery path (the last committed
@@ -42,7 +42,7 @@ class CrashPoint:
     ----------
     at_s:
         Absolute simulated time (service clock) at which the session
-        dies. The crash fires at the first dispatcher tick whose time is
+        dies. The crash fires at the first live tick whose time is
         ``>= at_s``, after that tick's results were served (and WAL-
         logged) but before any further checkpointing.
     """

@@ -232,7 +232,7 @@ class Tracer:
         span. ``None`` (default) omits the timestamp — scalar pipelines
         traced outside a simulation have no meaningful sim time. The
         service session wires the simulator clock in
-        (:meth:`repro.service.session.LocalizationService.run`).
+        (:meth:`repro.service.session.ServiceSession.run`).
     wall_clock:
         Monotonic clock for the wall-duration annotation (injectable so
         tests can fake latency).
@@ -353,9 +353,8 @@ def current_tracer() -> NullTracer | Tracer:
 def use_tracer(tracer: NullTracer | Tracer) -> Iterator[NullTracer | Tracer]:
     """Install ``tracer`` as the ambient tracer for the enclosed block.
 
-    Context-variable scoped: concurrent asyncio tasks and threads each
-    see their own ambient tracer, and nesting restores the previous one
-    on exit.
+    Context-variable scoped: each thread sees its own ambient tracer,
+    and nesting restores the previous one on exit.
     """
     token = _CURRENT.set(tracer)
     try:

@@ -46,6 +46,7 @@ from .batcher import Batch, LocalizationRequest, MicroBatcher
 from .pipeline import ServiceConfig, ServicePipeline, ServiceResult
 from .session import (
     LocalizationService,
+    ServiceSession,
     SessionReport,
     result_from_doc,
     result_to_doc,
@@ -73,6 +74,7 @@ __all__ = [
     "ServicePipeline",
     "ServiceResult",
     "LocalizationService",
+    "ServiceSession",
     "SessionReport",
     "result_to_doc",
     "result_from_doc",

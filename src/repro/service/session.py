@@ -1,33 +1,30 @@
-"""Synchronous session facade over the streaming service.
+"""The service's session loop, and the synchronous facade over it.
+
+:class:`ServiceSession` is the one per-tick loop of the streaming
+service. Over a built :class:`~repro.hardware.deployment.Deployment` it
+warms up, then steps the seeded beacon stream one chunk at a time —
+deliver the chunk's records, submit due queries, execute due batches,
+write-ahead-log the results — and finally drains, seals the checkpoint
+and reports. Every caller drives this same loop:
+:class:`LocalizationService` runs it to exhaustion for an unzoned
+deployment, and :class:`~repro.zones.worker.ZoneWorker` adds a zone's
+world and tag surface so the gateway can step many zones in lockstep.
 
 :class:`LocalizationService` is what tests, benchmarks and the CLI call:
 give it a :class:`~repro.experiments.scenarios.TestbedScenario` (or an
-environment name) and a duration, and it builds the deployment, taps the
-beacon stream, and drives the full asyncio pipeline to completion —
-deterministically, because every clock involved is seeded: simulation
-time doubles as the service clock, and the wall-clock used for latency
-histograms is injectable.
-
-Internally the session runs two cooperating asyncio tasks connected by a
-bounded tick queue (backpressure included):
-
-* the **producer** pulls record chunks off the simulator stream and
-  offers them to the ingestion queue;
-* the **dispatcher** wakes per tick, submits due localization queries to
-  the micro-batcher, and executes due batches.
-
-``asyncio.run`` hides all of that behind the synchronous
-:meth:`LocalizationService.run`.
+environment name) and a duration, and it builds the deployment and runs
+the loop — deterministically, because every clock involved is seeded:
+simulation time doubles as the service clock, and the wall-clock used
+for latency histograms is injectable.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..exceptions import CheckpointError, ConfigurationError, SimulationError
 from ..experiments.scenarios import TestbedScenario, paper_scenario
@@ -40,7 +37,7 @@ from ..runtime.checkpoint import (
     load_checkpoint,
     validate_header,
 )
-from ..obs import NULL_TRACER, Tracer, current_tracer, use_tracer
+from ..obs import Tracer, current_tracer, use_tracer
 from ..types import estimation_error
 from .metrics import MetricsRegistry, get_service_logger, log_event
 from .pipeline import ServiceConfig, ServicePipeline, ServiceResult
@@ -51,11 +48,17 @@ if TYPE_CHECKING:  # runtime import is lazy (only when a plan is passed)
 
 __all__ = [
     "SessionReport",
+    "ServiceSession",
     "LocalizationService",
     "result_to_doc",
     "result_from_doc",
     "result_witness_entry",
 ]
+
+
+def _tag_id(label: Any) -> str:
+    """A tracking-tag label as the simulator's tag id."""
+    return f"tag-{label}"
 
 
 def result_witness_entry(result: ServiceResult) -> dict[str, Any]:
@@ -182,8 +185,545 @@ class SessionReport:
         return doc
 
 
+class ServiceSession:
+    """A steppable, checkpointable localization session over one deployment.
+
+    The service's single per-tick loop. :meth:`start` warms up and arms
+    the session, each :meth:`step` processes one stream chunk,
+    :meth:`finish` drains, seals the checkpoint and assembles the report,
+    and :meth:`run` does all three. :meth:`interrupt` (graceful) and
+    :meth:`abort` (simulated hard kill) end a session early.
+
+    Parameters
+    ----------
+    deployment:
+        The built testbed the session streams from.
+    config:
+        Service knobs.
+    identity:
+        The world keys of the checkpoint header (scenario, seed, ...),
+        written to and checked against a checkpoint. Its ``"zone"``
+        entry — ``None`` for an unzoned session — also labels the
+        session's spans and log events.
+    tags:
+        Every tracking-tag id the session hosts, in header order.
+    active:
+        The tag ids queried from the start (default: all of ``tags``).
+    metrics:
+        Registry for the pipeline (default: a fresh un-namespaced one).
+    fault_plan:
+        Attached to the simulator's record path after warm-up.
+    checkpoint_path / resume / crash_point:
+        Write-ahead checkpointing, replay-based resume and the simulated
+        hard-kill hook — see :meth:`LocalizationService.run`.
+    perf_clock:
+        Monotonic clock used for latency measurement (injectable so a
+        test can make latency deterministic).
+    warmup_max_s:
+        Cap on the reference-coverage warm-up phase before queries start.
+    query_schedule:
+        Open-loop arrivals ``(t_rel_s, label)`` relative to the session
+        start, replacing the per-tag query interval (load harness).
+    """
+
+    def __init__(
+        self,
+        deployment: Deployment,
+        config: ServiceConfig,
+        identity: Mapping[str, Any],
+        *,
+        tags: Sequence[str],
+        active: Iterable[str] | None = None,
+        metrics: MetricsRegistry | None = None,
+        fault_plan: "FaultPlan | None" = None,
+        checkpoint_path: str | os.PathLike | None = None,
+        resume: bool = False,
+        crash_point: "CrashPoint | None" = None,
+        perf_clock: Callable[[], float] = time.perf_counter,
+        warmup_max_s: float = 120.0,
+        query_schedule: Sequence[tuple[float, str]] | None = None,
+    ):
+        self.zone: str | None = identity.get("zone")
+        self._name = "session" if self.zone is None else f"zone {self.zone!r}"
+        if resume and checkpoint_path is None:
+            raise ConfigurationError("resume=True requires a checkpoint_path")
+        if checkpoint_path is not None and config.engine.precision != "exact":
+            # Checkpoint resume replays the stream and verifies the
+            # reconstruction byte-exactly; only the bitwise tier can
+            # honour that witness.
+            kind = "sessions" if self.zone is None else "zone sessions"
+            raise ConfigurationError(
+                f"checkpointed {kind} require engine precision 'exact', "
+                f"got {config.engine.precision!r}"
+            )
+        self.deployment = deployment
+        self.config = config
+        self.identity = dict(identity)
+        self.tags = tuple(tags)
+        self._active: set[str] = set(self.tags if active is None else active)
+        self.pipeline = ServicePipeline(
+            deployment.grid,
+            deployment.simulator.middleware,
+            config,
+            metrics=metrics,
+            perf_clock=perf_clock,
+        )
+        self.metrics = self.pipeline.metrics
+        self._fault_plan = fault_plan
+        self._injector = None
+        self._checkpoint_path = checkpoint_path
+        self._resume = bool(resume)
+        self._crash_point = crash_point
+        self._perf_clock = perf_clock
+        self.warmup_max_s = float(warmup_max_s)
+        self._logger = get_service_logger()
+        self._admission = None
+        # The schedule cursor lives on the session instance, so a fresh
+        # session (respawn, resume) replays the schedule from the top —
+        # exactly the property journal gap replay needs.
+        self._query_schedule: tuple[tuple[float, str], ...] | None = (
+            None
+            if query_schedule is None
+            else tuple((float(t), str(label)) for t, label in query_schedule)
+        )
+        self._sched_i = 0
+
+        self._stream: SimulatorRecordStream | None = None
+        self._chunks = None
+        self._writer: CheckpointWriter | None = None
+        self._restored: CheckpointState | None = None
+        self._next_query: dict[str, float] = {}
+        self._records_dispatched = 0
+        self._wal_index = 0
+        self._next_snapshot: float | None = None
+        self._last_cut: dict | None = None
+        self._replay_until: float | None = None
+        self._interrupted = False
+        self._finished = False
+        self._wall_start = 0.0
+        self._start_s = 0.0
+
+    @property
+    def simulator(self):
+        return self.deployment.simulator
+
+    @property
+    def now(self) -> float:
+        """The session's simulation clock."""
+        return self.simulator.now
+
+    def checkpoint_header(self, duration_s: float) -> dict[str, Any]:
+        """Session identity written to (and checked against) a checkpoint."""
+        header = {
+            **self.identity,
+            "tags": list(self.tags),
+            "duration_s": float(duration_s),
+            "query_interval_s": float(self.config.query_interval_s),
+            "stream_step_s": float(self.config.stream_step_s),
+        }
+        if self.config.calibration is not None:
+            # Identity key only when enabled: quarantine state is part of
+            # the checkpoint, so a calibrating session must not resume a
+            # non-calibrating file (and vice versa), while disabled
+            # sessions keep the pre-calibration header byte-identical.
+            header["calibration"] = True
+        return header
+
+    def set_admission(self, admission) -> None:
+        """Attach an admission gate (duck typed: ``admit(now_s) -> bool``).
+
+        Consulted before each due query is submitted; a shed query's
+        schedule slot still advances (shed-newest — see
+        :class:`~repro.zones.failover.ZoneAdmission`). ``None`` (the
+        default) leaves the query path untouched.
+        """
+        self._admission = admission
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def start(self, duration_s: float) -> None:
+        """Warm up and arm the session; :meth:`step` then drives ticks."""
+        if self._stream is not None:
+            raise SimulationError(f"{self._name} already started")
+        self._wall_start = self._perf_clock()
+        header = self.checkpoint_header(duration_s)
+        if self._resume:
+            self._restored = load_checkpoint(self._checkpoint_path)
+            validate_header(self._restored, header)
+        if self._checkpoint_path is not None:
+            self._writer = CheckpointWriter(
+                self._checkpoint_path, append=self._resume
+            )
+            if self._resume:
+                self._writer.write_marker("resume", t_cut=self._restored.t_cut)
+            else:
+                self._writer.write_header(**header)
+
+        simulator = self.simulator
+        pipeline = self.pipeline
+        stream = SimulatorRecordStream(simulator, step_s=self.config.stream_step_s)
+        stream.__enter__()
+        self._stream = stream
+        try:
+            with current_tracer().span("zone.warmup", zone=self.zone) as wsp:
+                warmed_s = self._warm_up(stream)
+                wsp.set("warmed_until_s", float(warmed_s))
+            # Baseline capture must land between warm-up (coverage
+            # complete, series clean) and the injector attaching.
+            pipeline.arm_calibration(simulator.now)
+            if self._fault_plan is not None:
+                from ..faults.injector import FaultInjector  # lazy: cycle
+
+                self._injector = FaultInjector(
+                    self._fault_plan, metrics=pipeline.metrics
+                )
+                simulator.set_fault_injector(self._injector)
+            if self._restored is not None:
+                pipeline.restore_checkpoint_state(
+                    self._restored.snapshot["state"],
+                    [result_from_doc(d) for d in self._restored.results],
+                )
+                pipeline.begin_replay()
+                self._replay_until = self._restored.t_cut
+            self._start_s = simulator.now
+            self._next_query = {tag: simulator.now for tag in sorted(self._active)}
+            self._wal_index = len(pipeline.results)
+            log_event(
+                self._logger, "zone_session_start",
+                zone=self.zone, tags=len(self._active),
+                duration=duration_s, t=self._start_s,
+                faults=(
+                    len(self._fault_plan)
+                    if self._fault_plan is not None else 0
+                ),
+                resumed=self._restored is not None,
+                checkpoint=self._writer is not None,
+            )
+            if self._writer is not None and self._restored is None:
+                # Initial snapshot: a crash *before* the first periodic
+                # snapshot must still be resumable (cut at session
+                # start, zero results).
+                self._writer.write_snapshot(
+                    t=self._start_s,
+                    results_count=0,
+                    state=pipeline.checkpoint_state(),
+                    records_dispatched=0,
+                )
+            self._chunks = stream.iter_chunks(duration_s)
+        except BaseException:
+            self.abort()
+            raise
+
+    def _warm_up(self, stream: SimulatorRecordStream) -> float:
+        """Stream until every reader covers the reference grid.
+
+        Mirrors :meth:`TestbedSimulator.warm_up`, but routed through the
+        pipeline's own ingestion queue (the simulator's direct
+        middleware path is disconnected while the stream taps the
+        record sink).
+        """
+        simulator = stream.simulator
+        pipeline = self.pipeline
+        deadline = simulator.now + self.warmup_max_s
+        while simulator.now < deadline:
+            records = stream.advance(min(2.0, deadline - simulator.now))
+            pipeline.ingest.submit(records)
+            pipeline.ingest.deliver_pending()
+            coverage = pipeline.middleware.coverage(simulator.now)
+            if all(c >= 1.0 for c in coverage.values()):
+                return simulator.now
+        raise SimulationError(
+            f"{self._name}: reference coverage incomplete after "
+            f"{self.warmup_max_s}s of warm-up: "
+            f"{pipeline.middleware.coverage(simulator.now)}"
+        )
+
+    def _flip_to_live(self, now_s: float) -> None:
+        pipeline = self.pipeline
+        pipeline.end_replay()
+        pipeline.verify_replay(self._restored.snapshot["state"])
+        snap_dispatched = self._restored.snapshot.get("records_dispatched")
+        if (
+            snap_dispatched is not None
+            and self._records_dispatched != int(snap_dispatched)
+        ):
+            raise CheckpointError(
+                f"{self._name} replay diverged on dispatched records: "
+                f"reconstructed {self._records_dispatched}, "
+                f"checkpoint {snap_dispatched}"
+            )
+        log_event(
+            self._logger, "zone_resume_live",
+            zone=self.zone, t=now_s,
+            records_replayed=self._records_dispatched,
+            results_restored=self._wal_index,
+        )
+
+    def _submit_scheduled(self, now_s: float) -> None:
+        """Submit every open-loop schedule event due at this tick.
+
+        Arrival times are relative to the session start (post warm-up).
+        The cursor only moves forward — arrivals are submitted exactly
+        once, in schedule order, regardless of how the service is
+        keeping up (that is the open-loop contract). Events for tags
+        this session does not currently query are skipped with the
+        cursor still advancing, and admission control applies per
+        arrival exactly as it does to interval-driven queries.
+        """
+        schedule = self._query_schedule
+        t_rel = now_s - self._start_s + 1e-9
+        while self._sched_i < len(schedule) and schedule[self._sched_i][0] <= t_rel:
+            _, label = schedule[self._sched_i]
+            self._sched_i += 1
+            tag = _tag_id(label)
+            if tag not in self._active:
+                continue
+            if self._admission is not None and not self._admission.admit(now_s):
+                continue  # shed-newest: the arrival is consumed, not queued
+            self.pipeline.submit_request(tag, now_s)
+
+    def step(self) -> list[ServiceResult] | None:
+        """Process the next stream chunk; ``None`` when the stream ends.
+
+        One call is one tick: deliver the chunk's records, submit due
+        queries for the *active* tags, execute due batches,
+        write-ahead-log the results and capture/flush the consistency
+        cut. Records are delivered with their own tick, so a batch
+        executing at service time ``t`` never observes a reading stamped
+        after ``t``. On a resumed session ticks up to the restored cut
+        replay with estimation skipped, and the first tick past it flips
+        to live after verifying the reconstructed state. ``crash_point``
+        fires after a live tick's results are logged but before any
+        further snapshot, simulating a hard kill mid-interval.
+        """
+        if self._chunks is None:
+            raise SimulationError(f"{self._name} is not started")
+        if self._interrupted:
+            return None
+        try:
+            now_s, records = next(self._chunks)
+        except StopIteration:
+            return None
+        pipeline = self.pipeline
+        writer = self._writer
+        with current_tracer().span(
+            "zone.tick",
+            zone=self.zone,
+            tick_s=float(now_s),
+            replay=bool(pipeline.replaying),
+        ) as tsp:
+            if self._replay_until is not None and now_s > self._replay_until:
+                self._flip_to_live(now_s)
+                self._replay_until = None
+            pipeline.ingest.submit(records)
+            self._records_dispatched += len(records)
+            if self._query_schedule is not None:
+                self._submit_scheduled(now_s)
+            else:
+                for tag in sorted(self._active):
+                    if now_s >= self._next_query[tag]:
+                        self._next_query[tag] = (
+                            now_s + self.config.query_interval_s
+                        )
+                        if (
+                            self._admission is not None
+                            and not self._admission.admit(now_s)
+                        ):
+                            continue  # shed-newest: slot advances
+                        pipeline.submit_request(tag, now_s)
+            served = pipeline.process_due(now_s)
+            tsp.update(n_records=len(records), n_served=len(served))
+        if writer is not None and not pipeline.replaying:
+            # Write-ahead: results hit the log *before* any observer — a
+            # consumer can never have seen a result the checkpoint does
+            # not know about.
+            for result in served:
+                writer.append_result(self._wal_index, result_to_doc(result))
+                self._wal_index += 1
+            # The consistency cut at this tick, captured eagerly so a
+            # later interrupt can seal the WAL at a tick boundary.
+            self._last_cut = {
+                "t": now_s,
+                "results_count": self._wal_index,
+                "state": pipeline.checkpoint_state(),
+                "records_dispatched": self._records_dispatched,
+            }
+            interval = self.config.runtime.checkpoint_interval_s
+            if self._next_snapshot is None:
+                self._next_snapshot = now_s + interval
+            if now_s >= self._next_snapshot:
+                writer.write_snapshot(**self._last_cut)
+                self._next_snapshot = now_s + interval
+        if (
+            self._crash_point is not None
+            and not pipeline.replaying
+            and self._crash_point.due(now_s)
+        ):
+            self._crash_point.fire(now_s)
+        return served
+
+    def interrupt(self) -> None:
+        """Graceful shutdown: seal the WAL at the last complete tick.
+
+        The session can then be resumed as if it had crashed exactly at
+        that boundary; :meth:`finish` still drains for the report.
+        """
+        if self._interrupted:
+            return
+        self._interrupted = True
+        if self._writer is not None and self._last_cut is not None:
+            self._writer.write_snapshot(**self._last_cut)
+        log_event(
+            self._logger, "zone_session_interrupted",
+            zone=self.zone, t=self.simulator.now,
+            results=len(self.pipeline.results),
+        )
+
+    def abort(self) -> None:
+        """Hard teardown (simulated crash): close the WAL as-is.
+
+        No drain, no final snapshot: whatever the WAL holds is what a
+        real crash would have left behind.
+        """
+        if self._writer is not None:
+            self._writer.close()
+        if self._stream is not None:
+            self._stream.close()
+        self._chunks = None
+        self._finished = True
+
+    def finish(self) -> SessionReport:
+        """Drain, seal the checkpoint and assemble the session report."""
+        if self._stream is None or self._finished:
+            raise SimulationError(f"{self._name} is not running")
+        pipeline = self.pipeline
+        writer = self._writer
+        restored = self._restored
+        try:
+            if pipeline.replaying:
+                # Cut at (or past) the session end: the whole stream
+                # replayed; flip to live so the drain below estimates.
+                pipeline.end_replay()
+                if not self._interrupted:
+                    pipeline.verify_replay(restored.snapshot["state"])
+            end_s = self.simulator.now
+            with current_tracer().span("service.drain") as dsp:
+                drained = pipeline.drain(end_s)
+                dsp.set("n_drained", len(drained))
+            if writer is not None:
+                if not self._interrupted:
+                    # Normal completion: commit the drained tail and seal
+                    # with a final snapshot. (On an interrupt the last
+                    # complete tick's cut is already sealed; the drain
+                    # above is report-only — its results are served at
+                    # the interrupt time, not their natural flush times,
+                    # so committing them would poison a later resume.)
+                    logged = writer.results_logged + (
+                        len(restored.results) if restored is not None else 0
+                    )
+                    all_results = pipeline.results
+                    for i in range(logged, len(all_results)):
+                        writer.append_result(i, result_to_doc(all_results[i]))
+                    writer.write_snapshot(
+                        t=end_s,
+                        results_count=len(all_results),
+                        state=pipeline.checkpoint_state(),
+                    )
+                writer.write_marker(
+                    "end", t=end_s, interrupted=self._interrupted
+                )
+        finally:
+            if writer is not None:
+                writer.close()
+            self._stream.close()
+            self._finished = True
+            self._chunks = None
+
+        wall_s = self._perf_clock() - self._wall_start
+        summary = dict(pipeline.metrics_summary())
+        summary["session_duration_s"] = end_s - self._start_s
+        summary["session_end_s"] = float(end_s)
+        summary["records_streamed"] = float(self._stream.records_streamed)
+        summary["wall_time_s"] = wall_s
+        summary["localizations_per_s"] = (
+            summary["results"] / wall_s if wall_s > 0 else float("inf")
+        )
+        if self._injector is not None:
+            for key, value in self._injector.counters().items():
+                summary[f"fault_records_{key}"] = float(value)
+        if self._interrupted:
+            summary["interrupted"] = 1.0
+        if self._resume:
+            summary["resumed"] = 1.0
+            summary["resume_results_restored"] = float(len(restored.results))
+        if writer is not None:
+            summary["checkpoint_results_logged"] = float(writer.results_logged)
+            summary["checkpoint_snapshots"] = float(writer.snapshots_written)
+        truth = self.deployment.tracking_truth
+        errors = tuple(
+            estimation_error(r.position, truth[r.tag_id])
+            for r in pipeline.results
+            if r.tag_id in truth
+        )
+        log_event(
+            self._logger, "zone_session_end",
+            zone=self.zone, results=len(pipeline.results),
+            wall_s=wall_s, interrupted=self._interrupted,
+        )
+        return SessionReport(
+            results=pipeline.results,
+            summary=summary,
+            metrics=pipeline.metrics,
+            errors_m=errors,
+            calibration_events=pipeline.calibration_events(),
+        )
+
+    def run(
+        self,
+        duration_s: float,
+        *,
+        on_result: Callable[[ServiceResult], Any] | None = None,
+        tracer: Tracer | None = None,
+    ) -> SessionReport:
+        """Start, step to exhaustion and finish.
+
+        ``on_result`` sees every result a step serves, after it is in
+        the WAL, then every result the final drain serves. A
+        :class:`KeyboardInterrupt` mid-stream is a graceful
+        :meth:`interrupt`; any other exception (a simulated crash
+        included) propagates after :meth:`abort`, leaving the WAL
+        exactly as the failure found it.
+        """
+        if tracer is not None and tracer.clock is None:
+            # Deterministic span timestamps: simulation time, not wall.
+            tracer.clock = lambda: self.simulator.now
+        with use_tracer(tracer) if tracer is not None else nullcontext():
+            try:
+                self.start(duration_s)
+                while True:
+                    try:
+                        served = self.step()
+                        if served is None:
+                            break
+                        if on_result is not None:
+                            for result in served:
+                                on_result(result)
+                    except KeyboardInterrupt:
+                        self.interrupt()
+                        break
+            except BaseException:
+                self.abort()
+                raise
+            n_stepped = len(self.pipeline.results)
+            report = self.finish()
+        if on_result is not None:
+            for result in report.results[n_stepped:]:
+                on_result(result)
+        return report
+
+
 class LocalizationService:
-    """Drives the streaming pipeline over a seeded scenario.
+    """Runs the session loop over a seeded scenario.
 
     Parameters
     ----------
@@ -206,14 +746,11 @@ class LocalizationService:
         self.config = config or ServiceConfig()
         self._perf_clock = perf_clock
         self.warmup_max_s = float(warmup_max_s)
-        self._logger = get_service_logger()
-
-    # -- deployment assembly -------------------------------------------------
 
     def build_deployment(self, scenario: TestbedScenario) -> Deployment:
         """The event-driven testbed a session streams from."""
         tracking = {
-            f"tag-{label}": pos for label, pos in scenario.tracking_tags.items()
+            _tag_id(label): pos for label, pos in scenario.tracking_tags.items()
         }
         return build_paper_deployment(
             scenario.environment,
@@ -221,8 +758,6 @@ class LocalizationService:
             tracking_tags=tracking,
             seed=scenario.base_seed,
         )
-
-    # -- the session ---------------------------------------------------------
 
     def run(
         self,
@@ -273,9 +808,9 @@ class LocalizationService:
             writing a final snapshot, exactly like ``kill -9``.
 
         A :class:`KeyboardInterrupt` (Ctrl-C / SIGTERM via the CLI) is a
-        *graceful* shutdown: the batcher is drained, a final snapshot
-        and an ``end`` marker are written, and the report carries
-        ``summary["interrupted"] = 1.0``.
+        *graceful* shutdown: the WAL is sealed at the last complete
+        tick, the batcher is drained, an ``end`` marker is written, and
+        the report carries ``summary["interrupted"] = 1.0``.
 
         ``tracer``
             Optional :class:`repro.obs.Tracer` installed as the ambient
@@ -287,420 +822,24 @@ class LocalizationService:
             default) leaves the ambient tracer alone: normally the
             no-op, so instrumentation costs nothing.
         """
-        from ..faults.crash import SimulatedCrash  # lazy: avoid cycle
-
         if isinstance(scenario, str):
             scenario = paper_scenario(scenario, n_trials=1)
-        if resume and checkpoint_path is None:
-            raise ConfigurationError("resume=True requires a checkpoint_path")
-        if checkpoint_path is not None and (
-            self.config.engine.precision != "exact"
-        ):
-            # Checkpoint resume replays the stream and verifies the
-            # reconstruction byte-exactly; only the bitwise tier can
-            # honour that witness.
-            raise ConfigurationError(
-                "checkpointed sessions require engine precision 'exact', "
-                f"got {self.config.engine.precision!r}"
-            )
-        deployment = self.build_deployment(scenario)
-        simulator = deployment.simulator
-        pipeline = ServicePipeline(
-            deployment.grid,
-            simulator.middleware,
-            self.config,
-            perf_clock=self._perf_clock,
-        )
-        if tracer is not None and tracer.clock is None:
-            # Deterministic span timestamps: simulation time, not wall.
-            tracer.clock = lambda: simulator.now
-        injector = None
-        if fault_plan is not None:
-            from ..faults.injector import FaultInjector  # lazy: avoid cycle
-
-            injector = FaultInjector(fault_plan, metrics=pipeline.metrics)
-        tag_ids = sorted(f"tag-{label}" for label in scenario.tracking_tags)
-
-        header = self._checkpoint_header(scenario, tag_ids, duration_s)
-        restored: CheckpointState | None = None
-        if resume:
-            restored = load_checkpoint(checkpoint_path)
-            self._validate_header(restored, header)
-        writer: CheckpointWriter | None = None
-        if checkpoint_path is not None:
-            writer = CheckpointWriter(checkpoint_path, append=resume)
-            if resume:
-                writer.write_marker("resume", t_cut=restored.t_cut)
-            else:
-                writer.write_header(**header)
-
-        wall_start = self._perf_clock()
-        interrupted = False
-        tracer_scope = (
-            use_tracer(tracer) if tracer is not None else nullcontext()
-        )
-        try:
-            with tracer_scope, SimulatorRecordStream(
-                simulator, step_s=self.config.stream_step_s
-            ) as stream:
-                with current_tracer().span("session.warmup") as wsp:
-                    warmed_s = self._warm_up(stream, pipeline)
-                    wsp.set("warmed_until_s", float(warmed_s))
-                # Baseline capture must land between warm-up (coverage
-                # complete, series clean) and the injector attaching.
-                pipeline.arm_calibration(simulator.now)
-                if injector is not None:
-                    simulator.set_fault_injector(injector)
-                if restored is not None:
-                    pipeline.restore_checkpoint_state(
-                        restored.snapshot["state"],
-                        [result_from_doc(d) for d in restored.results],
-                    )
-                    pipeline.begin_replay()
-                start_s = simulator.now
-                log_event(
-                    self._logger, "session_start",
-                    tags=len(tag_ids), duration=duration_s, t=start_s,
-                    faults=len(fault_plan) if fault_plan is not None else 0,
-                    resumed=restored is not None,
-                    checkpoint=writer is not None,
-                )
-                if writer is not None and restored is None:
-                    # Initial snapshot: a crash *before* the first
-                    # periodic snapshot must still be resumable (cut at
-                    # session start, zero results).
-                    writer.write_snapshot(
-                        t=start_s,
-                        results_count=0,
-                        state=pipeline.checkpoint_state(),
-                        records_dispatched=0,
-                    )
-                try:
-                    interrupted = asyncio.run(
-                        self._session(
-                            stream, pipeline, tag_ids, duration_s, on_result,
-                            writer=writer,
-                            restored=restored,
-                            crash_point=crash_point,
-                        )
-                    )
-                except KeyboardInterrupt:
-                    # Interrupt landed outside the dispatcher (e.g. in
-                    # the event loop itself): still a graceful shutdown,
-                    # resuming from the last periodic snapshot.
-                    interrupted = True
-                if interrupted:
-                    log_event(
-                        self._logger, "session_interrupted",
-                        t=simulator.now, results=len(pipeline.results),
-                    )
-                if pipeline.replaying:
-                    # Cut at (or past) the session end: the whole stream
-                    # replayed; flip to live so the drain below estimates.
-                    pipeline.end_replay()
-                    if not interrupted:
-                        pipeline.verify_replay(restored.snapshot["state"])
-                end_s = simulator.now
-                with current_tracer().span("service.drain") as dsp:
-                    drained = pipeline.drain(end_s)
-                    dsp.set("n_drained", len(drained))
-                for result in drained:
-                    if on_result is not None:
-                        on_result(result)
-                if writer is not None:
-                    if not interrupted:
-                        # Normal completion: commit the drained tail and
-                        # seal the file with a final snapshot. (On an
-                        # interrupt the dispatcher already wrote a
-                        # consistent cut at its last complete tick; the
-                        # early drain above is report-only — its results
-                        # are served at the interrupt time, not their
-                        # natural flush times, so committing them would
-                        # poison a later resume.)
-                        logged = writer.results_logged + (
-                            len(restored.results)
-                            if restored is not None else 0
-                        )
-                        all_results = pipeline.results
-                        for i in range(logged, len(all_results)):
-                            writer.append_result(
-                                i, result_to_doc(all_results[i])
-                            )
-                        writer.write_snapshot(
-                            t=end_s,
-                            results_count=len(all_results),
-                            state=pipeline.checkpoint_state(),
-                        )
-                    writer.write_marker(
-                        "end", t=end_s, interrupted=interrupted
-                    )
-        except SimulatedCrash:
-            # A simulated hard kill: close the file as-is — no drain, no
-            # final snapshot. Whatever the WAL holds is what a real
-            # crash would have left behind.
-            if writer is not None:
-                writer.close()
-            raise
-        finally:
-            if writer is not None:
-                writer.close()
-
-        wall_s = self._perf_clock() - wall_start
-        summary = dict(pipeline.metrics_summary())
-        summary["session_duration_s"] = end_s - start_s
-        summary["session_end_s"] = float(end_s)
-        summary["records_streamed"] = float(stream.records_streamed)
-        summary["wall_time_s"] = wall_s
-        summary["localizations_per_s"] = (
-            summary["results"] / wall_s if wall_s > 0 else float("inf")
-        )
-        if injector is not None:
-            for key, value in injector.counters().items():
-                summary[f"fault_records_{key}"] = float(value)
-        if interrupted:
-            summary["interrupted"] = 1.0
-        if resume:
-            summary["resumed"] = 1.0
-            summary["resume_results_restored"] = float(len(restored.results))
-        if writer is not None:
-            summary["checkpoint_results_logged"] = float(writer.results_logged)
-            summary["checkpoint_snapshots"] = float(writer.snapshots_written)
-        errors = tuple(
-            estimation_error(r.position, deployment.tracking_truth[r.tag_id])
-            for r in pipeline.results
-            if r.tag_id in deployment.tracking_truth
-        )
-        log_event(
-            self._logger, "session_end",
-            results=len(pipeline.results), wall_s=wall_s,
-            interrupted=interrupted,
-        )
-        return SessionReport(
-            results=pipeline.results,
-            summary=summary,
-            metrics=pipeline.metrics,
-            errors_m=errors,
-            calibration_events=pipeline.calibration_events(),
-        )
-
-    # -- checkpoint plumbing -------------------------------------------------
-
-    def _checkpoint_header(
-        self,
-        scenario: TestbedScenario,
-        tag_ids: list[str],
-        duration_s: float,
-    ) -> dict[str, Any]:
-        """Scenario identity written to (and checked against) a checkpoint."""
         environment = getattr(scenario, "environment", None)
-        header = {
-            "scenario": getattr(scenario, "name", None),
-            "environment": getattr(environment, "name", None),
-            "seed": getattr(scenario, "base_seed", None),
-            "zone": None,  # unzoned session; ZoneWorker writes its zone id
-            "tags": list(tag_ids),
-            "duration_s": float(duration_s),
-            "query_interval_s": float(self.config.query_interval_s),
-            "stream_step_s": float(self.config.stream_step_s),
-        }
-        if self.config.calibration is not None:
-            # Identity key only when enabled: a calibrating session must
-            # not resume a non-calibrating checkpoint (and vice versa),
-            # while disabled sessions keep the pre-calibration header
-            # byte-identical.
-            header["calibration"] = True
-        return header
-
-    @staticmethod
-    def _validate_header(
-        restored: CheckpointState, header: Mapping[str, Any]
-    ) -> None:
-        """Refuse to resume a checkpoint against a different world.
-
-        Thin alias of :func:`repro.runtime.checkpoint.validate_header`
-        (kept for callers that monkeypatch or subclass the service).
-        """
-        validate_header(restored, header)
-
-    # -- internals -----------------------------------------------------------
-
-    def _warm_up(
-        self, stream: SimulatorRecordStream, pipeline: ServicePipeline
-    ) -> float:
-        """Stream until every reader covers the reference grid.
-
-        Mirrors :meth:`TestbedSimulator.warm_up`, but routed through the
-        service's own ingestion queue (the simulator's direct middleware
-        path is disconnected while the stream taps the record sink).
-        """
-        simulator = stream.simulator
-        deadline = simulator.now + self.warmup_max_s
-        while simulator.now < deadline:
-            records = stream.advance(min(2.0, deadline - simulator.now))
-            pipeline.ingest.submit(records)
-            pipeline.ingest.deliver_pending()
-            coverage = pipeline.middleware.coverage(simulator.now)
-            if all(c >= 1.0 for c in coverage.values()):
-                return simulator.now
-        raise SimulationError(
-            f"reference coverage incomplete after {self.warmup_max_s}s of "
-            f"warm-up: {pipeline.middleware.coverage(simulator.now)}"
+        session = ServiceSession(
+            self.build_deployment(scenario),
+            self.config,
+            {
+                "scenario": getattr(scenario, "name", None),
+                "environment": getattr(environment, "name", None),
+                "seed": getattr(scenario, "base_seed", None),
+                "zone": None,
+            },
+            tags=sorted(_tag_id(label) for label in scenario.tracking_tags),
+            fault_plan=fault_plan,
+            checkpoint_path=checkpoint_path,
+            resume=resume,
+            crash_point=crash_point,
+            perf_clock=self._perf_clock,
+            warmup_max_s=self.warmup_max_s,
         )
-
-    async def _session(
-        self,
-        stream: SimulatorRecordStream,
-        pipeline: ServicePipeline,
-        tag_ids: list[str],
-        duration_s: float,
-        on_result: Callable[[ServiceResult], Any] | None,
-        *,
-        writer: CheckpointWriter | None = None,
-        restored: CheckpointState | None = None,
-        crash_point: "CrashPoint | None" = None,
-    ) -> bool:
-        """Producer/dispatcher task pair around a bounded tick queue.
-
-        Returns ``True`` when the session was gracefully interrupted
-        (:class:`KeyboardInterrupt` inside the dispatcher — Ctrl-C or
-        SIGTERM routed by the CLI), after sealing the WAL with the last
-        complete tick's consistency cut.
-
-        Records travel *with* their tick rather than being offered to the
-        ingestion queue by the producer: the producer may run several
-        chunks of simulated time ahead of the dispatcher (up to the tick
-        queue's bound), and offering early would let a batch executing at
-        service time ``t`` observe readings stamped after ``t``. Keeping
-        submission on the dispatcher side guarantees causality: the
-        middleware never contains a record from the future.
-
-        Checkpointing rides on the dispatcher: each live tick's results
-        are appended to the WAL as served, and a consistency snapshot is
-        written once ``runtime.checkpoint_interval_s`` simulated seconds
-        have passed since the last one. On a resumed session the
-        dispatcher replays ticks up to the restored cut (estimation
-        skipped, see :meth:`ServicePipeline.begin_replay`) and flips to
-        live — verifying the reconstructed state — at the first tick
-        past it. ``crash_point`` fires after a live tick's results are
-        WAL-logged but before any further snapshot, simulating a hard
-        kill mid-interval.
-        """
-        ticks: asyncio.Queue[
-            tuple[float, list] | None
-        ] = asyncio.Queue(maxsize=8)
-        next_query = {tag: stream.simulator.now for tag in tag_ids}
-        interval = self.config.query_interval_s
-        cp_interval = self.config.runtime.checkpoint_interval_s
-        replay_until = restored.t_cut if restored is not None else None
-        records_dispatched = 0
-        wal_index = len(pipeline.results)
-        next_snapshot: float | None = None
-
-        async def produce() -> None:
-            for now_s, records in stream.iter_chunks(duration_s):
-                await ticks.put((now_s, records))  # bounded: backpressure
-            await ticks.put(None)
-
-        def flip_to_live(now_s: float) -> None:
-            pipeline.end_replay()
-            pipeline.verify_replay(restored.snapshot["state"])
-            snap_dispatched = restored.snapshot.get("records_dispatched")
-            if (
-                snap_dispatched is not None
-                and records_dispatched != int(snap_dispatched)
-            ):
-                raise CheckpointError(
-                    f"replay diverged on dispatched records: reconstructed "
-                    f"{records_dispatched}, checkpoint {snap_dispatched}"
-                )
-            log_event(
-                self._logger, "resume_live",
-                t=now_s, records_replayed=records_dispatched,
-                results_restored=wal_index,
-            )
-
-        last_cut: dict | None = None
-        interrupted = False
-
-        async def dispatch() -> None:
-            nonlocal replay_until, records_dispatched, wal_index
-            nonlocal next_snapshot, last_cut, interrupted
-            try:
-                tracer = current_tracer()
-                while True:
-                    tick = await ticks.get()
-                    if tick is None:
-                        return
-                    now_s, records = tick
-                    with tracer.span(
-                        "service.tick",
-                        tick_s=float(now_s),
-                        replay=bool(pipeline.replaying),
-                    ) as tsp:
-                        if replay_until is not None and now_s > replay_until:
-                            flip_to_live(now_s)
-                            replay_until = None
-                        pipeline.ingest.submit(records)
-                        records_dispatched += len(records)
-                        for tag in tag_ids:
-                            if now_s >= next_query[tag]:
-                                pipeline.submit_request(tag, now_s)
-                                next_query[tag] = now_s + interval
-                        served = pipeline.process_due(now_s)
-                        tsp.update(
-                            n_records=len(records), n_served=len(served)
-                        )
-                    if writer is not None and not pipeline.replaying:
-                        # Write-ahead: results hit the log *before* any
-                        # observer — a consumer can never have seen a
-                        # result the checkpoint does not know about.
-                        for result in served:
-                            writer.append_result(
-                                wal_index, result_to_doc(result)
-                            )
-                            wal_index += 1
-                    for result in served:
-                        if on_result is not None:
-                            on_result(result)
-                    if writer is not None and not pipeline.replaying:
-                        # The consistency cut at this tick, captured
-                        # eagerly: a graceful interrupt may land on a
-                        # *later* tick mid-processing, and the snapshot
-                        # it flushes must describe a tick boundary.
-                        last_cut = {
-                            "t": now_s,
-                            "results_count": wal_index,
-                            "state": pipeline.checkpoint_state(),
-                            "records_dispatched": records_dispatched,
-                        }
-                        if next_snapshot is None:
-                            next_snapshot = now_s + cp_interval
-                        if now_s >= next_snapshot:
-                            writer.write_snapshot(**last_cut)
-                            next_snapshot = now_s + cp_interval
-                    if (
-                        crash_point is not None
-                        and not pipeline.replaying
-                        and crash_point.due(now_s)
-                    ):
-                        crash_point.fire(now_s)
-            except KeyboardInterrupt:
-                # Graceful shutdown: seal the WAL with the last complete
-                # tick's cut — the session can then be resumed as if it
-                # had crashed exactly at that boundary. Swallowing the
-                # interrupt here (and reporting it via the return value)
-                # keeps the event loop's teardown clean.
-                if writer is not None and last_cut is not None:
-                    writer.write_snapshot(**last_cut)
-                interrupted = True
-
-        producer = asyncio.ensure_future(produce())
-        try:
-            await dispatch()
-        finally:
-            producer.cancel()
-            try:
-                await producer
-            except asyncio.CancelledError:
-                pass
-        return interrupted
+        return session.run(duration_s, on_result=on_result, tracer=tracer)

@@ -36,6 +36,7 @@ Execution modes:
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -389,7 +390,7 @@ class ZoneGateway:
         tau = 0.0
         if tracer is not None and tracer.clock is None:
             tracer.clock = lambda: tau
-        scope = use_tracer(tracer) if tracer is not None else _null_scope()
+        scope = use_tracer(tracer) if tracer is not None else nullcontext()
 
         workers: dict[str, ZoneWorker] = {}
         owner: dict[str, str] = {}
@@ -570,7 +571,7 @@ class ZoneGateway:
         tau = 0.0
         if tracer is not None and tracer.clock is None:
             tracer.clock = lambda: tau
-        scope = use_tracer(tracer) if tracer is not None else _null_scope()
+        scope = use_tracer(tracer) if tracer is not None else nullcontext()
 
         channels: dict[str, ZoneChannel] = {}
         owner: dict[str, str] = {}
@@ -919,9 +920,3 @@ class ZoneGateway:
             "Fraction of zone-ticks served by a live zone worker",
         ).set(float(availability))
         return metrics
-
-
-def _null_scope():
-    from contextlib import nullcontext
-
-    return nullcontext()

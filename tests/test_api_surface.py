@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -77,6 +81,18 @@ class TestPublicExports:
     def test_version_string(self):
         major, *_ = repro.__version__.split(".")
         assert int(major) >= 1
+
+    def test_import_leaves_asyncio_unloaded(self):
+        """The service loop is synchronous: importing the package must
+        not pull in ``asyncio`` (import time and resident memory)."""
+        probe = "import sys, repro; print('asyncio' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.strip()
+        assert out == "False"
 
 
 class TestMultiTagDeployment:

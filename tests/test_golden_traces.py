@@ -163,6 +163,17 @@ class TestSpanTracesMatchGolden:
         golden = _load("chaos_preset.json")
         assert chaos_result_docs(report) == golden["results"]
 
+    def test_serve_tick_spans_are_stamped_at_their_tick(self):
+        """A tick span's timestamp is the simulated time of the tick it
+        processes: the stream never runs ahead of the session loop."""
+        ticks = [
+            root for root in build_trace_serve()["spans"]
+            if root["name"] == "zone.tick"
+        ]
+        assert ticks, "the serve trace must contain tick spans"
+        for tick in ticks:
+            assert tick["t"] == tick["attrs"]["tick_s"], tick
+
     def test_serve_trace_pins_ladder_decisions(self):
         """Every serve span in the fixture carries the ladder attrs the
         profiler consumes (level/estimator, reason when degraded)."""

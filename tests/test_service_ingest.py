@@ -1,8 +1,6 @@
-"""Tests for ingestion: bounded queue, drop-oldest, async pump, streams."""
+"""Tests for ingestion: bounded queue, drop-oldest, pump, streams."""
 
 from __future__ import annotations
-
-import asyncio
 
 import pytest
 
@@ -89,18 +87,6 @@ class TestIngestionLoop:
         assert metrics.get("ingest_records_delivered_total").value == 2
         assert metrics.get("ingest_queue_depth").value == 0
 
-    def test_async_run_pumps_source(self, middleware):
-        loop = IngestionLoop(BoundedRecordQueue(capacity=16), middleware)
-
-        async def source():
-            for i in range(5):
-                yield record(i)
-
-        pumped = asyncio.run(loop.run(source()))
-        assert pumped == 5
-        assert loop.deliver_pending() == 5
-        assert middleware.records_ingested == 5
-
 
 @pytest.fixture
 def clean_simulator():
@@ -145,28 +131,6 @@ class TestSimulatorRecordStream:
         stream = SimulatorRecordStream(clean_simulator)
         with pytest.raises(SimulationError):
             stream.advance(1.0)
-
-    def test_aiter_records_matches_sync(self):
-        def build():
-            return build_paper_deployment(
-                make_clean_environment(),
-                tracking_tags={"asset": (1.5, 1.5)},
-                seed=11,
-            ).simulator
-
-        async def collect(sim):
-            out = []
-            with SimulatorRecordStream(sim, step_s=0.5) as stream:
-                async for rec in stream.aiter_records(4.0):
-                    out.append(rec)
-            return out
-
-        sync_records = []
-        with SimulatorRecordStream(build(), step_s=0.5) as stream:
-            for _, records in stream.iter_chunks(4.0):
-                sync_records.extend(records)
-        async_records = asyncio.run(collect(build()))
-        assert async_records == sync_records
 
 
 class TestQueueAccountingProperty:
