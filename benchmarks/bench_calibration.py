@@ -23,7 +23,9 @@ Five questions, tied to the PR's acceptance bar (docs/CALIBRATION.md):
 4. **Lifecycle** — the decaying reference tag must be quarantined while
    its column is rotten and re-admitted after its battery swap.
 5. **Overhead** — the enabled corrector must cost <= 5% wall-clock on a
-   fault-free session (best-of-N timing to suppress scheduler noise).
+   fault-free session: the median of interleaved (off, on) pairs with
+   alternating order, published with its interquartile range (see
+   ``paired.py``).
 
 Run it via pytest (prints the JSON report)::
 
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import json
 import statistics
-import time
 
 from repro import (
     CalibrationDriftFault,
@@ -51,7 +52,9 @@ from repro.service import LocalizationService
 
 try:
     from .conftest import emit
+    from .paired import paired_overhead, summary
 except ImportError:  # standalone: python benchmarks/bench_calibration.py
+    from paired import paired_overhead, summary
 
     def emit(title: str, body: str) -> None:
         bar = "=" * 72
@@ -61,7 +64,6 @@ DURATION_S = 50.0
 OVERHEAD_DURATION_S = 30.0
 SEED = 0
 ENV = "Env1"
-REPEATS = 3
 ERROR_RATIO_CEILING = 1.5
 OVERHEAD_CEILING = 0.05
 BIAS_TOLERANCE_DB = 1.0
@@ -99,10 +101,8 @@ def _witness_bytes(report) -> str:
     return json.dumps(report.witness_document(), sort_keys=True)
 
 
-def _timed(plan, policy):
-    t0 = time.perf_counter()
-    _run(plan, policy, duration_s=OVERHEAD_DURATION_S)
-    return time.perf_counter() - t0
+def _overhead_session(policy):
+    return _run(None, policy, duration_s=OVERHEAD_DURATION_S)
 
 
 def _injected_bias_at(plan, reader_id: str, t: float) -> float:
@@ -179,12 +179,14 @@ def run_benchmark() -> dict:
             bias_ok = bias_ok and row["error_db"] <= BIAS_TOLERANCE_DB
         bias_table[rid] = row
 
-    # Overhead: interleaved best-of-N fault-free sessions.
-    on_best, off_best = float("inf"), float("inf")
-    for _ in range(REPEATS):
-        off_best = min(off_best, _timed(None, None))
-        on_best = min(on_best, _timed(None, CalibrationPolicy()))
-    overhead = max(0.0, on_best / off_best - 1.0)
+    # Overhead: interleaved (off, on) pairs of fault-free sessions.
+    _overhead_session(None)  # discarded warm-up
+    paired = paired_overhead(
+        lambda: _overhead_session(None),
+        lambda: _overhead_session(CalibrationPolicy()),
+    )
+    overhead = paired["overhead_median"]  # negative when "on" ran faster
+    pairs_doc = summary(paired)
 
     report = {
         "env": ENV,
@@ -202,10 +204,7 @@ def run_benchmark() -> dict:
         },
         "calibration_events": events,
         "bias_table": bias_table,
-        "timing_s": {
-            "corrector_off_best": round(off_best, 4),
-            "corrector_on_best": round(on_best, 4),
-        },
+        "overhead_pairs": pairs_doc,
         "acceptance": {
             "error_ratio_ceiling": ERROR_RATIO_CEILING,
             "corrected_within_bound": co_med <= ERROR_RATIO_CEILING * base_med,
@@ -224,6 +223,7 @@ def run_benchmark() -> dict:
             "bias_ok": bias_ok,
             "overhead_ceiling": OVERHEAD_CEILING,
             "overhead": round(overhead, 4),
+            "overhead_iqr": pairs_doc["overhead_iqr"],
             "overhead_ok": overhead <= OVERHEAD_CEILING,
         },
     }
@@ -263,8 +263,8 @@ def test_calibration_benchmark():
         f"gated reader: {report['bias_table']}"
     )
     assert acc["overhead_ok"], (
-        f"corrector overhead {acc['overhead']:.1%} exceeds "
-        f"{OVERHEAD_CEILING:.0%}"
+        f"median corrector overhead {acc['overhead']:.1%} (IQR "
+        f"{acc['overhead_iqr']}) exceeds {OVERHEAD_CEILING:.0%}"
     )
 
 

@@ -9,10 +9,13 @@ threaded through ``core.estimator`` and ``engine.batch`` must cost
 * **<= 15 %** with a real :class:`~repro.obs.Tracer` *enabled*
   (span allocation, attribute coercion, wall-clock reads),
 
-measured against the same workload with the per-call instrumentation
-overhead subtracted out via a pre-warmed reference loop — and in every
-mode the answers must stay **bitwise identical**: tracing may never
-perturb a coordinate.
+The disabled figure is priced analytically (instrumentation points hit
+per workload x the cost of one no-op site, over the workload's wall),
+because it is far below timer noise. The enabled figure is the median
+``enabled / disabled - 1`` over interleaved pairs with alternating
+order, published with its interquartile range (see ``paired.py``). In
+every mode the answers must stay **bitwise identical**: tracing may
+never perturb a coordinate.
 
 The workload is the serving system's hot unit: scalar ``estimate`` calls
 plus one vectorized ``estimate_batch`` pass over the paper testbed.
@@ -41,7 +44,9 @@ from repro.rf import env3
 
 try:
     from .conftest import emit
+    from .paired import paired_overhead, summary
 except ImportError:  # standalone: python benchmarks/bench_obs_overhead.py
+    from paired import paired_overhead, summary
 
     def emit(title: str, body: str) -> None:
         bar = "=" * 72
@@ -49,7 +54,6 @@ except ImportError:  # standalone: python benchmarks/bench_obs_overhead.py
 
 
 T_TAGS = 48
-REPEATS = 9
 SEED = 42
 DISABLED_BUDGET = 0.05  # +5% max with the null tracer
 ENABLED_BUDGET = 0.15   # +15% max with a recording tracer
@@ -83,30 +87,10 @@ def _fingerprint(scalar, batch) -> list[str]:
     return out
 
 
-def _time_mode(est, readings, tracer=None) -> tuple[float, list[str]]:
-    """Best-of-``REPEATS`` wall for one tracer mode.
-
-    ``tracer=None`` runs under the ambient default (the null tracer);
-    otherwise a fresh recording tracer is installed per repeat so span
-    accumulation cannot grow across iterations.
-    """
-    _run_once(est, readings)  # warm caches and code paths
-    best = float("inf")
-    fingerprint = None
-    for _ in range(REPEATS):
-        if tracer is None:
-            t0 = time.perf_counter()
-            scalar, batch = _run_once(est, readings)
-            wall = time.perf_counter() - t0
-        else:
-            live = Tracer()
-            with use_tracer(live):
-                t0 = time.perf_counter()
-                scalar, batch = _run_once(est, readings)
-                wall = time.perf_counter() - t0
-        best = min(best, wall)
-        fingerprint = _fingerprint(scalar, batch)
-    return best, fingerprint
+def _enabled_run(est, readings):
+    """One workload pass under a fresh recording tracer."""
+    with use_tracer(Tracer()):
+        return _run_once(est, readings)
 
 
 def _null_site_cost_s(samples: int = 200_000) -> float:
@@ -127,13 +111,15 @@ def _null_site_cost_s(samples: int = 200_000) -> float:
 
 def run_benchmark() -> dict:
     est, readings = _build_workload()
-    # Interleaving order: disabled / enabled / disabled-again; the two
-    # disabled passes expose timer drift over the run.
-    disabled_1, fp_disabled = _time_mode(est, readings)
-    enabled, fp_enabled = _time_mode(est, readings, tracer=Tracer)
-    disabled_2, fp_disabled_2 = _time_mode(est, readings)
-    disabled = min(disabled_1, disabled_2)
-    noise = abs(disabled_1 - disabled_2) / disabled
+    fp_warm = _fingerprint(*_run_once(est, readings))  # warm caches
+    paired = paired_overhead(
+        lambda: _run_once(est, readings),
+        lambda: _enabled_run(est, readings),
+    )
+    pairs_doc = summary(paired, ndigits=6)
+    fp_disabled = _fingerprint(*paired["base_out"])
+    fp_enabled = _fingerprint(*paired["treated_out"])
+    disabled = paired["base_median_s"]
 
     # Count the instrumentation points one workload actually hits, then
     # price the disabled path analytically: sites x no-op cost. This is
@@ -150,17 +136,16 @@ def run_benchmark() -> dict:
     report = {
         "benchmark": "obs_overhead",
         "t_tags": T_TAGS,
-        "repeats": REPEATS,
         "seed": SEED,
         "workload": f"{T_TAGS} scalar estimates + one estimate_batch pass",
         "disabled_wall_s": disabled,
-        "disabled_walls_s": [disabled_1, disabled_2],
-        "enabled_wall_s": enabled,
-        "timer_noise_fraction": round(noise, 4),
+        "enabled_wall_s": paired["treated_median_s"],
+        "enabled_pairs": pairs_doc,
         "instrumentation_points_per_workload": spans_tracer.spans_recorded,
         "null_site_cost_ns": round(1e9 * site_cost, 1),
         "disabled_overhead_fraction": round(disabled_overhead, 6),
-        "enabled_overhead_fraction": round((enabled - disabled) / disabled, 6),
+        "enabled_overhead_fraction": round(paired["overhead_median"], 6),
+        "enabled_overhead_iqr": pairs_doc["overhead_iqr"],
     }
     report["acceptance"] = {
         "disabled_budget": DISABLED_BUDGET,
@@ -168,7 +153,7 @@ def run_benchmark() -> dict:
         "disabled_ok": report["disabled_overhead_fraction"]
         <= DISABLED_BUDGET,
         "enabled_ok": report["enabled_overhead_fraction"] <= ENABLED_BUDGET,
-        "bitwise_identical": fp_disabled == fp_enabled == fp_disabled_2,
+        "bitwise_identical": fp_warm == fp_disabled == fp_enabled,
     }
     return report
 
@@ -187,9 +172,9 @@ def bench_obs_overhead():
         f"{DISABLED_BUDGET:.0%}"
     )
     assert acc["enabled_ok"], (
-        f"enabled-tracer overhead "
-        f"{report['enabled_overhead_fraction']:+.1%} exceeds "
-        f"{ENABLED_BUDGET:.0%}"
+        f"median enabled-tracer overhead "
+        f"{report['enabled_overhead_fraction']:+.1%} (IQR "
+        f"{report['enabled_overhead_iqr']}) exceeds {ENABLED_BUDGET:.0%}"
     )
 
 

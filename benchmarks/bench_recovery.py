@@ -3,8 +3,9 @@
 Three questions, tied to the PR's acceptance bar (docs/RUNTIME.md):
 
 1. **Overhead** — attaching a JSONL write-ahead checkpoint to a serve
-   session must cost <= 5% wall-clock over the bare session (best-of-N
-   timing to suppress scheduler noise).
+   session must cost <= 5% wall-clock over the bare session: the median
+   of interleaved (bare, checkpointed) pairs with alternating order,
+   published with its interquartile range (see ``paired.py``).
 2. **Recovery** — resuming a session killed halfway must be *bounded*:
    replay (streaming without estimation) plus the remaining live half
    must land within 1.5x of a clean full run. Replay skips the
@@ -37,7 +38,9 @@ from repro.service import LocalizationService
 
 try:
     from .conftest import emit
+    from .paired import paired_overhead, summary
 except ImportError:  # standalone: python benchmarks/bench_recovery.py
+    from paired import paired_overhead, summary
 
     def emit(title: str, body: str) -> None:
         bar = "=" * 72
@@ -46,7 +49,6 @@ except ImportError:  # standalone: python benchmarks/bench_recovery.py
 ENV = "Env1"
 DURATION_S = 20.0
 KILL_AT_S = DURATION_S / 2
-REPEATS = 5
 RESUME_REPEATS = 3
 OVERHEAD_CEILING = 0.05
 RECOVERY_RATIO_CEILING = 1.5
@@ -66,31 +68,24 @@ def _timed(fn):
     return time.perf_counter() - t0, out
 
 
-def _best_of(fn, repeats: int = REPEATS):
-    """Min wall-clock over ``repeats`` runs (noise floor), last report."""
-    best, report = float("inf"), None
-    for _ in range(repeats):
-        elapsed, report = _timed(fn)
-        best = min(best, elapsed)
-    return best, report
-
-
 def run_benchmark(workdir: str | None = None) -> dict:
     workdir = workdir or tempfile.mkdtemp(prefix="bench_recovery_")
     ckpt_path = os.path.join(workdir, "session.ckpt")
 
-    # 1) Bare vs checkpointed (interleaved best-of-N).
-    bare_s, bare_report = _best_of(
-        lambda: _service().run(ENV, DURATION_S)
-    )
-
+    # 1) Bare vs checkpointed: interleaved pairs, alternating order.
     def checkpointed():
         if os.path.exists(ckpt_path):
             os.remove(ckpt_path)
         return _service().run(ENV, DURATION_S, checkpoint_path=ckpt_path)
 
-    ckpt_s, ckpt_report = _best_of(checkpointed)
-    overhead = ckpt_s / bare_s - 1.0
+    _service().run(ENV, DURATION_S)  # discarded warm-up
+    paired = paired_overhead(
+        lambda: _service().run(ENV, DURATION_S), checkpointed
+    )
+    pairs_doc = summary(paired)
+    bare_report, ckpt_report = paired["base_out"], paired["treated_out"]
+    bare_s = min(paired["base_s"])
+    overhead = paired["overhead_median"]
     ckpt_bytes = os.path.getsize(ckpt_path)
 
     # 2) Kill the session halfway, then time the resume (each cycle
@@ -122,11 +117,12 @@ def run_benchmark(workdir: str | None = None) -> dict:
         "env": ENV,
         "duration_s": DURATION_S,
         "kill_at_s": KILL_AT_S,
-        "repeats": REPEATS,
+        "resume_repeats": RESUME_REPEATS,
         "results_per_session": len(bare_report.results),
+        "overhead_pairs": pairs_doc,
         "timing_s": {
             "bare_best": round(bare_s, 4),
-            "checkpointed_best": round(ckpt_s, 4),
+            "checkpointed_best": round(min(paired["treated_s"]), 4),
             "crashed_half_session_best": round(crashed_s, 4),
             "resume_remaining_half_best": round(resume_s, 4),
         },
@@ -143,6 +139,7 @@ def run_benchmark(workdir: str | None = None) -> dict:
         "acceptance": {
             "overhead_ceiling": OVERHEAD_CEILING,
             "overhead": round(overhead, 4),
+            "overhead_iqr": pairs_doc["overhead_iqr"],
             "overhead_ok": overhead <= OVERHEAD_CEILING,
             "recovery_ratio_ceiling": RECOVERY_RATIO_CEILING,
             "recovery_ratio": round(recovery_ratio, 4),
@@ -172,8 +169,8 @@ def test_recovery_benchmark(tmp_path):
         "checkpointing or resume changed an answer"
     )
     assert acc["overhead_ok"], (
-        f"checkpoint overhead {acc['overhead']:.1%} exceeds "
-        f"{OVERHEAD_CEILING:.0%}"
+        f"median checkpoint overhead {acc['overhead']:.1%} (IQR "
+        f"{acc['overhead_iqr']}) exceeds {OVERHEAD_CEILING:.0%}"
     )
     assert acc["recovery_bounded"], (
         f"time-to-recover ratio {acc['recovery_ratio']} exceeds "

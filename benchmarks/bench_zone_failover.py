@@ -12,7 +12,9 @@ one of the zone workers at the halfway mark must
    zone-ticks served by a live worker.
 3. **Cost <= 5% supervision overhead** — the supervised lockstep loop
    on a fault-free plan vs the bare (``failover=None``) loop, measured
-   over the same seeded session.
+   over the same seeded session: the median of interleaved (bare,
+   supervised) pairs with alternating order, published with its
+   interquartile range (see ``paired.py``).
 
 Run it via pytest (prints the JSON report)::
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import json
 import tempfile
-import time
 
 from repro.faults import FaultPlan, ZoneCrashFault
 from repro.service.pipeline import ServiceConfig
@@ -35,7 +36,9 @@ from repro.zones import ZoneGateway, scaled_site_plan
 
 try:
     from .conftest import emit
+    from .paired import paired_overhead, summary
 except ImportError:  # standalone: python benchmarks/bench_zone_failover.py
+    from paired import paired_overhead, summary
 
     def emit(title: str, body: str) -> None:
         bar = "=" * 72
@@ -49,7 +52,6 @@ DURATION_S = 10.0
 KILL_AT_S = DURATION_S / 2
 AVAILABILITY_FLOOR = 0.99
 OVERHEAD_CEILING = 0.05
-OVERHEAD_REPEATS = 3
 
 #: Same demanding query rate as bench_zone_scaleout: the estimator
 #: dominates the tick, so supervision overhead is measured against a
@@ -59,12 +61,6 @@ CONFIG = ServiceConfig(query_interval_s=0.125, max_batch_size=16)
 
 def _witness(report) -> str:
     return json.dumps(report.witness_document(), sort_keys=True)
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
 
 
 def run_benchmark() -> dict:
@@ -87,24 +83,15 @@ def run_benchmark() -> dict:
     availability = killed.summary["availability"]
 
     # 2) Supervision overhead: supervised vs bare loop on a fault-free
-    #    plan. One discarded warm-up, then interleaved best-of-N so
-    #    scheduler drift hits both arms equally.
+    #    plan. One discarded warm-up, then interleaved pairs with
+    #    alternating order so scheduler drift hits both arms equally.
     ZoneGateway(plan, CONFIG, failover=None).run(DURATION_S)
-    bare_s = supervised_s = float("inf")
-    for _ in range(OVERHEAD_REPEATS):
-        bare_s = min(
-            bare_s,
-            _timed(
-                lambda: ZoneGateway(
-                    plan, CONFIG, failover=None
-                ).run(DURATION_S)
-            )[0],
-        )
-        supervised_s = min(
-            supervised_s,
-            _timed(lambda: ZoneGateway(plan, CONFIG).run(DURATION_S))[0],
-        )
-    overhead = (supervised_s - bare_s) / bare_s if bare_s > 0 else 0.0
+    paired = paired_overhead(
+        lambda: ZoneGateway(plan, CONFIG, failover=None).run(DURATION_S),
+        lambda: ZoneGateway(plan, CONFIG).run(DURATION_S),
+    )
+    overhead = paired["overhead_median"]
+    pairs_doc = summary(paired)
 
     return {
         "env": ENV,
@@ -120,10 +107,7 @@ def run_benchmark() -> dict:
             "results": int(killed.summary["results"]),
             "clean_results": int(clean.summary["results"]),
         },
-        "timing_s": {
-            "bare_wall": round(bare_s, 4),
-            "supervised_wall": round(supervised_s, 4),
-        },
+        "overhead_pairs": pairs_doc,
         "acceptance": {
             "availability_floor": AVAILABILITY_FLOOR,
             "availability": round(availability, 6),
@@ -131,6 +115,7 @@ def run_benchmark() -> dict:
             "recovery_identical": recovery_identical,
             "overhead_ceiling": OVERHEAD_CEILING,
             "overhead": round(overhead, 4),
+            "overhead_iqr": pairs_doc["overhead_iqr"],
             "overhead_ok": overhead <= OVERHEAD_CEILING,
         },
     }
@@ -149,8 +134,8 @@ def test_zone_failover_benchmark():
         f"{AVAILABILITY_FLOOR} floor after killing {KILL_ZONE}"
     )
     assert acc["overhead_ok"], (
-        f"supervision overhead {acc['overhead']:.1%} exceeds "
-        f"{OVERHEAD_CEILING:.0%}: {report['timing_s']}"
+        f"median supervision overhead {acc['overhead']:.1%} (IQR "
+        f"{acc['overhead_iqr']}) exceeds {OVERHEAD_CEILING:.0%}"
     )
 
 

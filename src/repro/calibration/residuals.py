@@ -103,6 +103,38 @@ class ResidualWindow:
         self._entries.clear()
 
 
+def _nanmedian(a: np.ndarray, axis: tuple[int, int]) -> np.ndarray:
+    """``np.nanmedian(a, axis=axis)`` bit for bit, for a 3-D ``a``.
+
+    For a 2-axis reduction of a 3-D array that merges fewer than 600
+    values per slice, numpy sorts through a masked array. This does the
+    same steps on plain arrays: merge the reduced axes in numpy's order,
+    argsort with NaN filled as ``+inf``, take the two middle finite
+    values, sum them with ``ndarray.sum`` (so ``-0.0 + -0.0`` gives
+    ``+0.0`` as numpy's does) and halve. All-NaN slices give NaN,
+    without a warning. Any other shape, and any infinite input, goes to
+    numpy itself.
+    """
+    (kept,) = {0, 1, 2} - {ax % 3 for ax in axis}
+    merged = a.swapaxes(0, kept).reshape(a.shape[kept], -1)
+    if (
+        merged.size == 0 or merged.shape[1] >= 600 or np.isinf(merged).any()
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return np.nanmedian(a, axis=axis)
+    missing = np.isnan(merged)
+    order = np.where(missing, np.inf, merged).argsort(axis=1)
+    count = (~missing).sum(axis=1, keepdims=True)
+    high = count // 2
+    middle_cols = np.concatenate([high - 1 + count % 2, high], axis=1)
+    rows = np.arange(merged.shape[0])[:, None]
+    out = merged[rows, order[rows, middle_cols]].sum(axis=1)
+    np.true_divide(out, 2.0, out=out)
+    out[count[:, 0] == 0] = np.nan
+    return out
+
+
 def decompose_residuals(
     stacked: np.ndarray,
     *,
@@ -147,20 +179,16 @@ def decompose_residuals(
     rows = stacked
     if trusted_columns is not None:
         rows = stacked[:, :, trusted_columns]
-    # Vectorized nan-medians (one C call per axis pair instead of a
-    # Python loop of nan_median calls — this runs every batch tick).
-    # All-NaN slices legitimately mean "no evidence"; suppress numpy's
-    # warning for exactly that case and let the NaN flow through.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if rows.shape[2]:
-            reader_bias = np.nanmedian(rows, axis=(0, 2))
-        else:
-            reader_bias = np.full(n_readers, np.nan)
-        centered_bias = np.where(np.isfinite(reader_bias), reader_bias, 0.0)
-        tag_scores = np.nanmedian(
-            stacked - centered_bias[None, :, None], axis=(0, 1)
-        )
+    # Vectorized nan-medians (this runs every batch tick). All-NaN
+    # slices legitimately mean "no evidence": the NaN flows through.
+    if rows.shape[2]:
+        reader_bias = _nanmedian(rows, axis=(0, 2))
+    else:
+        reader_bias = np.full(n_readers, np.nan)
+    centered_bias = np.where(np.isfinite(reader_bias), reader_bias, 0.0)
+    tag_scores = _nanmedian(
+        stacked - centered_bias[None, :, None], axis=(0, 1)
+    )
     finite_scores = tag_scores[np.isfinite(tag_scores)]
     scale = float("nan")
     if finite_scores.size >= 2:

@@ -5,6 +5,12 @@ draws one RSSI sample from the channel (each with its own randomness),
 optionally degraded by active disturbances (a person walking through) and
 by tag-density interference offsets, and forwards detections to the
 middleware. The simulation is deterministic for a given seed.
+
+The channel's frozen field depends only on position, so the simulator
+keeps each tag's ``(K,)`` mean-RSSI vector keyed on the exact bytes of
+the position it was computed at. A beacon from an unmoved tag pays only
+the per-reading perturbation; a moved tag replaces its own entry, so the
+memo never holds more than one vector per tag.
 """
 
 from __future__ import annotations
@@ -106,6 +112,8 @@ class TestbedSimulator:
         self._sample_rng = derive_rng(self.seed, "samples")
         self._record_sink: Callable[[ReadingRecord], None] | None = None
         self._fault_injector: "FaultInjector | None" = None
+        # tag id -> (position bytes, (K,) frozen-field mean RSSI).
+        self._mean_field: dict[str, tuple[bytes, np.ndarray]] = {}
 
         self._interference_offsets: dict[str, float] = {}
         if self.interference is not None:
@@ -138,9 +146,21 @@ class TestbedSimulator:
 
         return fire
 
+    def _tag_mean_rssi(self, tag: ActiveTag) -> np.ndarray:
+        """The ``(K,)`` frozen-field mean of ``tag`` at its current position."""
+        pos = np.asarray(tag.position, dtype=np.float64)
+        key = pos.tobytes()  # exact bytes: -0.0 and 0.0 stay distinct
+        entry = self._mean_field.get(tag.tag_id)
+        if entry is None or entry[0] != key:
+            mean = self.channel.mean_rssi_matrix(pos[np.newaxis, :])[:, 0]
+            mean.flags.writeable = False  # shared by every later beacon
+            entry = (key, mean)
+            self._mean_field[tag.tag_id] = entry
+        return entry[1]
+
     def _emit_beacon(self, tag: ActiveTag) -> None:
         now = self.queue.clock.now
-        pos = np.asarray(tag.position)[np.newaxis, :]
+        mean = self._tag_mean_rssi(tag)
         # extra_* terms are attenuations; a positive tag offset boosts RSSI.
         extra_base = self._interference_offsets.get(tag.tag_id, 0.0) - tag.offset_db
         if self.interference is not None:
@@ -156,8 +176,8 @@ class TestbedSimulator:
             for disturbance in self.disturbances:
                 extra += disturbance.attenuation_at(now, tag.position, reader.position)
             rssi = float(
-                self.channel.sample_rssi(
-                    k, pos, self._sample_rng, n_reads=1, extra_attenuation_db=extra
+                self.channel.perturb_rssi(
+                    mean[k:k + 1], self._sample_rng, extra_attenuation_db=extra
                 )[0, 0]
             )
             record = reader.receive(tag.tag_id, now, rssi)

@@ -16,6 +16,16 @@ readings must still scatter (Fig. 3's whiskers).
 
 Readers are registered up front so each gets its own shadowing field and
 precomputed multipath image set.
+
+Nothing that shapes the frozen field can change after construction:
+:class:`~repro.geometry.rooms.Room` and its walls are frozen dataclasses,
+reader positions are fixed here, and every :class:`ShadowingField` is
+drawn once from the seed. A caller may therefore compute
+:meth:`RFChannel.mean_rssi_matrix` once per tag position and reuse it
+for every later reading at that position, with no invalidation hook —
+:class:`~repro.hardware.simulator.TestbedSimulator` does exactly that,
+then draws each reading with :meth:`RFChannel.perturb_rssi`, the same
+per-reading step :meth:`RFChannel.sample_rssi` applies.
 """
 
 from __future__ import annotations
@@ -207,13 +217,35 @@ class RFChannel:
     ) -> np.ndarray:
         """Draw ``n_reads`` noisy readings per tag position.
 
-        Returns shape ``(n, n_reads)``. ``extra_attenuation_db`` lets the
-        simulator inject transient effects (human movement, interference
-        offsets) computed elsewhere.
+        Returns shape ``(n, n_reads)``: :meth:`mean_rssi` followed by
+        :meth:`perturb_rssi`.
+        """
+        return self.perturb_rssi(
+            self.mean_rssi(reader_index, positions),
+            rng,
+            n_reads=n_reads,
+            extra_attenuation_db=extra_attenuation_db,
+        )
+
+    def perturb_rssi(
+        self,
+        mean: np.ndarray,
+        rng: np.random.Generator,
+        *,
+        n_reads: int = 1,
+        extra_attenuation_db: np.ndarray | float = 0.0,
+    ) -> np.ndarray:
+        """Draw ``n_reads`` noisy readings around a frozen-field ``mean``.
+
+        ``mean`` has shape ``(n,)`` (one reader's :meth:`mean_rssi`);
+        returns shape ``(n, n_reads)``. The per-reading step subtracts
+        ``extra_attenuation_db`` (transient effects the simulator
+        computes elsewhere: human movement, interference offsets), adds
+        fading then noise drawn from ``rng`` in that order, and floors
+        at the receiver sensitivity.
         """
         if n_reads < 1:
             raise ChannelError(f"n_reads must be >= 1, got {n_reads}")
-        mean = self.mean_rssi(reader_index, positions)
         n = mean.shape[0]
         out = np.broadcast_to(mean[:, np.newaxis], (n, n_reads)).copy()
         out -= np.broadcast_to(

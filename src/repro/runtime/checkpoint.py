@@ -77,8 +77,46 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
+_NESTED = (dict, list, tuple)
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
+def _str_keys_only(value: dict | list | tuple) -> bool:
+    """True when every dict reachable through dicts/lists/tuples has str keys."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if type(k) is not str:
+                return False
+            if (type(v) not in _PLAIN and isinstance(v, _NESTED)
+                    and not _str_keys_only(v)):
+                return False
+        return True
+    for v in value:
+        if (type(v) not in _PLAIN and isinstance(v, _NESTED)
+                and not _str_keys_only(v)):
+            return False
+    return True
+
+
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=jsonable
+)
+
+
 def _dump_line(doc: Mapping[str, Any]) -> str:
-    return json.dumps(jsonable(doc), sort_keys=True, separators=(",", ":"))
+    """One WAL line, byte for byte ``json.dumps(jsonable(doc), ...)``.
+
+    The C encoder walks dicts, lists and tuples itself and hands every
+    other value (NumPy values, non-dict mappings, sets, exotic objects) to
+    :func:`jsonable` as its ``default`` hook. It would sort and render
+    non-``str`` dict keys differently (``2`` before ``10``, ``True`` as
+    ``"true"``), so a document holding any is converted by :func:`jsonable`
+    up front; WAL documents normally hold none, and the check costs a
+    fraction of the full conversion.
+    """
+    if not (isinstance(doc, dict) and _str_keys_only(doc)):
+        doc = jsonable(doc)
+    return _ENCODER.encode(doc)
 
 
 class CheckpointWriter:

@@ -49,7 +49,6 @@ from .session import (
     ServiceSession,
     SessionReport,
     result_from_doc,
-    result_to_doc,
 )
 
 __all__ = [
@@ -76,6 +75,5 @@ __all__ = [
     "LocalizationService",
     "ServiceSession",
     "SessionReport",
-    "result_to_doc",
     "result_from_doc",
 ]

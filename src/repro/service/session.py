@@ -33,7 +33,6 @@ from ..hardware.streams import SimulatorRecordStream
 from ..runtime.checkpoint import (
     CheckpointState,
     CheckpointWriter,
-    jsonable,
     load_checkpoint,
     validate_header,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "SessionReport",
     "ServiceSession",
     "LocalizationService",
-    "result_to_doc",
     "result_from_doc",
     "result_witness_entry",
 ]
@@ -81,8 +79,13 @@ def result_witness_entry(result: ServiceResult) -> dict[str, Any]:
     }
 
 
-def result_to_doc(result: ServiceResult) -> dict[str, Any]:
-    """Serialize one :class:`ServiceResult` into a WAL result document."""
+def _result_to_doc(result: ServiceResult) -> dict[str, Any]:
+    """Serialize one :class:`ServiceResult` into a WAL result document.
+
+    Diagnostics are copied as they are, so the document is JSON-ready only
+    through :meth:`CheckpointWriter.append_result`, which converts NumPy
+    values, sets and non-``str`` keys when it encodes the line.
+    """
     return {
         "tag_id": result.tag_id,
         "position": [float(result.position[0]), float(result.position[1])],
@@ -92,7 +95,7 @@ def result_to_doc(result: ServiceResult) -> dict[str, Any]:
         "requested_at_s": float(result.requested_at_s),
         "completed_at_s": float(result.completed_at_s),
         "processing_latency_s": float(result.processing_latency_s),
-        "diagnostics": jsonable(dict(result.diagnostics)),
+        "diagnostics": dict(result.diagnostics),
     }
 
 
@@ -538,7 +541,7 @@ class ServiceSession:
             # consumer can never have seen a result the checkpoint does
             # not know about.
             for result in served:
-                writer.append_result(self._wal_index, result_to_doc(result))
+                writer.append_result(self._wal_index, _result_to_doc(result))
                 self._wal_index += 1
             # The consistency cut at this tick, captured eagerly so a
             # later interrupt can seal the WAL at a tick boundary.
@@ -623,7 +626,7 @@ class ServiceSession:
                     )
                     all_results = pipeline.results
                     for i in range(logged, len(all_results)):
-                        writer.append_result(i, result_to_doc(all_results[i]))
+                        writer.append_result(i, _result_to_doc(all_results[i]))
                     writer.write_snapshot(
                         t=end_s,
                         results_count=len(all_results),

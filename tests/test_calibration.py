@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.calibration import (
     CalibrationPolicy,
@@ -35,6 +36,7 @@ from repro.calibration import (
     nan_median,
 )
 from repro.calibration.corrector import TagTrust
+from repro.calibration.residuals import _nanmedian
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.faults import CalibrationDriftFault, FaultPlan
 from repro.types import TrackingReading
@@ -149,6 +151,32 @@ class TestDecompose:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             decompose_residuals(np.zeros((3, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        resid=arrays(
+            np.float64,
+            st.tuples(
+                st.integers(1, 40), st.integers(1, 5), st.integers(1, 18)
+            ),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan]),
+                st.floats(-20.0, 20.0),
+                st.just(np.inf),
+            ),
+        ),
+        axis=st.sampled_from([(0, 2), (0, 1), (1, 2)]),
+    )
+    def test_nanmedian_matches_numpy_bitwise(self, resid, axis):
+        # Ties between -0.0 and 0.0, NaN cells, all-NaN slices, +inf
+        # and windows past numpy's 600-value sort path included.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = np.nanmedian(resid, axis=axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _nanmedian(resid, axis)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

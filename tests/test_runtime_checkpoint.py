@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import json
+import types
+from typing import Any, Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import CheckpointError
 from repro.runtime import CheckpointWriter, load_checkpoint
-from repro.runtime.checkpoint import FORMAT_VERSION, jsonable, validate_header
+from repro.runtime.checkpoint import (
+    FORMAT_VERSION,
+    _dump_line,
+    jsonable,
+    validate_header,
+)
+from repro.service.pipeline import ServiceResult
+from repro.service.session import _result_to_doc, result_from_doc
 
 
 def _write_minimal(path, n_results=3, t=10.0):
@@ -44,6 +55,148 @@ class TestJsonable:
     def test_json_float_roundtrip_is_exact(self):
         value = 0.1 + 0.2  # classic non-representable sum
         assert json.loads(json.dumps(jsonable(value))) == value
+
+
+def _reference_jsonable(value: Any) -> Any:
+    """The recursive conversion WAL lines were first encoded with."""
+    if isinstance(value, (str, bool, int, float)) or value is None:
+        return value
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return [_reference_jsonable(v) for v in value.tolist()]
+    if isinstance(value, Mapping):
+        return {str(k): _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = sorted(value) if isinstance(value, (set, frozenset)) else value
+        return [_reference_jsonable(v) for v in items]
+    return str(value)
+
+
+def _reference_line(doc: Any) -> str:
+    return json.dumps(
+        _reference_jsonable(doc), sort_keys=True, separators=(",", ":")
+    )
+
+
+class _Exotic:
+    def __str__(self) -> str:
+        return "<exotic>"
+
+
+_wal_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.floats(allow_nan=True).map(np.float64),
+    st.floats(width=32, allow_nan=True).map(np.float32),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.integers(-(2**40), 2**40).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.floats(allow_nan=True), max_size=4).map(np.array),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=2).map(
+        lambda row: np.array([row, row])
+    ),
+    st.sets(st.integers(-50, 50), max_size=4),
+    st.frozensets(st.text(max_size=3), max_size=3),
+    st.just(_Exotic()),
+)
+_wal_keys = st.one_of(
+    st.text(max_size=3),
+    st.integers(-12, 12),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+)
+_wal_values = st.recursive(
+    _wal_leaves,
+    lambda children: st.one_of(
+        st.dictionaries(_wal_keys, children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.integers(0, 20), children, max_size=3).map(
+            types.MappingProxyType
+        ),
+    ),
+    max_leaves=20,
+)
+
+
+class TestWalEncoding:
+    """WAL lines are byte-identical to ``json.dumps(jsonable(doc))``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(doc=st.dictionaries(st.text(max_size=4), _wal_values, max_size=6))
+    def test_str_keyed_documents_match_reference(self, doc):
+        assert _dump_line(doc) == _reference_line(doc)
+
+    @settings(max_examples=80, deadline=None)
+    @given(doc=st.dictionaries(_wal_keys, _wal_values, max_size=6))
+    def test_any_keyed_documents_match_reference(self, doc):
+        assert _dump_line(doc) == _reference_line(doc)
+
+    def test_non_str_keys_sort_as_strings(self):
+        doc = {"m": {2: "a", 10: "b", True: 1, None: 0}, 3: (1, {4: 5})}
+        line = _dump_line(doc)
+        assert line == _reference_line(doc)
+        assert line == (
+            '{"3":[1,{"4":5}],"m":{"10":"b","2":"a","None":0,"True":1}}'
+        )
+
+    def test_real_result_document(self, tmp_path):
+        doc = {
+            "type": "result",
+            "i": 0,
+            "position": [0.9576968338737758, 2.684830774528928],
+            "diagnostics": {
+                "map_areas": np.array([728, 709, 257, 359]),
+                "selected_fraction": np.float64(0.10301768990634755),
+                "n_selected": np.int64(99),
+                "fallback": None,
+            },
+        }
+        path = tmp_path / "wal.ckpt"
+        with CheckpointWriter(path) as w:
+            w._write(doc)
+        assert path.read_text() == _reference_line(doc) + "\n"
+
+    def test_service_result_with_raw_diagnostics_roundtrips(self, tmp_path):
+        # Result documents carry diagnostics as the estimator left them;
+        # the writer alone makes them plain JSON.
+        result = ServiceResult(
+            tag_id="tag-a",
+            position=(1.25, 2.5),
+            estimator="vire",
+            degraded=False,
+            reason=None,
+            requested_at_s=3.0,
+            completed_at_s=3.5,
+            processing_latency_s=0.001,
+            diagnostics={
+                "map_areas": np.array([[1, 2], [3, 4]]),
+                "readers": {"r2", "r0", "r1"},
+                "n_selected": np.int64(7),
+                "fraction": np.float32(0.5),
+            },
+        )
+        path = tmp_path / "wal.ckpt"
+        with CheckpointWriter(path) as w:
+            w.write_header(scenario="Env1", seed=0)
+            w.append_result(0, _result_to_doc(result))
+            w.write_snapshot(t=4.0, results_count=1, state={})
+        (doc,) = load_checkpoint(path).results
+        assert doc["diagnostics"] == {
+            "map_areas": [[1, 2], [3, 4]],
+            "readers": ["r0", "r1", "r2"],
+            "n_selected": 7,
+            "fraction": 0.5,
+        }
+        restored = result_from_doc(doc)
+        assert restored.position == result.position
+        assert restored.requested_at_s == result.requested_at_s
 
 
 class TestWriterAndLoader:
