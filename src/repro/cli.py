@@ -236,11 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "time T; the gateway respawns it from its "
                           "checkpoint and replays the gap (CI "
                           "zone-failover smoke)")
-    srv.add_argument("--no-failover", action="store_true",
-                     help="with --zones: bare gateway loop without the "
-                          "supervision layer (no retries, no respawn; "
-                          "bit-identical to the supervised loop on a "
-                          "fault-free run)")
 
     cha = sub.add_parser(
         "chaos", help="streaming service under an injected fault plan"
@@ -643,7 +638,6 @@ def _cmd_serve(args) -> str:
         (args.parallel, "--parallel"),
         (args.checkpoint_dir, "--checkpoint-dir"),
         (args.kill_zone, "--kill-zone"),
-        (args.no_failover, "--no-failover"),
     ):
         if flag:
             raise ConfigurationError(f"{name} requires --zones N")
@@ -792,14 +786,10 @@ def _cmd_serve_zones(args, config) -> str:
                 f"(have z0..z{args.zones - 1})"
             )
         fault_plan = FaultPlan(faults=(ZoneCrashFault(zone_id, at_s=at_s),))
-    gateway_kw = {}
-    if args.no_failover:
-        gateway_kw["failover"] = None
     gateway = ZoneGateway(
         plan, config,
         fault_plan=fault_plan,
         checkpoint_dir=args.checkpoint_dir,
-        **gateway_kw,
     )
     quiet = args.quiet or args.json
     if not quiet:

@@ -10,9 +10,8 @@ hardened the way long-lived fingerprint-serving systems are:
   :class:`~repro.service.pipeline.ServiceConfig`. Disabled by default:
   existing behaviour stays bit-identical.
 * :mod:`~repro.runtime.supervisor` — :class:`SupervisedPool`, the
-  drop-in wrapper around the process-pool paths
-  (:func:`repro.utils.parallel.map_trials`,
-  :func:`repro.engine.sharding.map_shards`): per-task deadlines, bounded
+  drop-in wrapper around the process-pool path
+  (:func:`repro.engine.sharding.map_shards`): per-task deadlines, bounded
   retries with exponential backoff, automatic pool respawn on worker
   death, and a deterministic serial in-process fallback. Crashes degrade
   throughput, never correctness.

@@ -766,7 +766,33 @@ class ServicePipeline:
                 raise outcome
             return outcome
 
-        if reading is None:
+        if reading is not None and not past_deadline:
+            # Ladder levels 1 and 2: full VIRE, or — for a masked
+            # snapshot — VIRE on the quorum-surviving reader subset.
+            est = consume(vire_outcome)
+            if est is not None:
+                position = est.position
+                diagnostics = dict(est.diagnostics)
+                if reading.masked:
+                    degraded, reason = True, "partial_readers"
+        if reading is not None and position is None:
+            # Level 3: NaN-aware LANDMARC. "deadline" when it is too late
+            # for the expensive path; otherwise "empty_intersection" on a
+            # healthy reading and "quorum_unmet" when the masked subset
+            # was too thin for VIRE.
+            base = consume(lm_outcome)
+            if base is not None:
+                position = base.position
+                degraded, reason = True, (
+                    "deadline" if past_deadline
+                    else "quorum_unmet" if reading.masked
+                    else "empty_intersection"
+                )
+                estimator_name = self.fallback.name
+                diagnostics = dict(base.diagnostics)
+        if position is None:
+            # Level 4: no reading, or not even LANDMARC can rank
+            # neighbours — serve the last known estimate.
             position = self._last_estimate.get(request.tag_id)
             degraded, reason = True, "no_reading"
             estimator_name = "last-known"
@@ -778,61 +804,6 @@ class ServicePipeline:
                     tag=request.tag_id, t=now_s, reason="no_reading",
                 )
                 return None
-        elif past_deadline:
-            # Too late for the expensive path: serve the cheap estimate.
-            base = consume(lm_outcome)
-            if base is None:
-                position = self._last_estimate.get(request.tag_id)
-                degraded, reason = True, "no_reading"
-                estimator_name = "last-known"
-                if position is None:
-                    self._c_failed.inc()
-                    span.update(failed=True, reason="no_reading")
-                    log_event(
-                        self._logger, "request_failed",
-                        tag=request.tag_id, t=now_s, reason="no_reading",
-                    )
-                    return None
-            else:
-                position = base.position
-                degraded, reason = True, "deadline"
-                estimator_name = self.fallback.name
-                diagnostics = dict(base.diagnostics)
-        else:
-            # Ladder levels 1 and 2: full VIRE, or — for a masked
-            # snapshot — VIRE on the quorum-surviving reader subset.
-            est = consume(vire_outcome)
-            if est is not None:
-                position = est.position
-                diagnostics = dict(est.diagnostics)
-                if reading.masked:
-                    degraded, reason = True, "partial_readers"
-            else:
-                # Level 3: NaN-aware LANDMARC. "empty_intersection" on a
-                # healthy reading; "quorum_unmet" when the masked subset
-                # was too thin for VIRE.
-                fallback_reason = (
-                    "quorum_unmet" if reading.masked else "empty_intersection"
-                )
-                base = consume(lm_outcome)
-                if base is None:
-                    # Level 4: not even LANDMARC can rank neighbours.
-                    position = self._last_estimate.get(request.tag_id)
-                    degraded, reason = True, "no_reading"
-                    estimator_name = "last-known"
-                    if position is None:
-                        self._c_failed.inc()
-                        span.update(failed=True, reason="no_reading")
-                        log_event(
-                            self._logger, "request_failed",
-                            tag=request.tag_id, t=now_s, reason="no_reading",
-                        )
-                        return None
-                else:
-                    position = base.position
-                    degraded, reason = True, fallback_reason
-                    estimator_name = self.fallback.name
-                    diagnostics = dict(base.diagnostics)
 
         if estimator_name == "last-known":
             level = 4

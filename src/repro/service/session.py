@@ -662,16 +662,26 @@ class ServiceSession:
         if writer is not None:
             summary["checkpoint_results_logged"] = float(writer.results_logged)
             summary["checkpoint_snapshots"] = float(writer.snapshots_written)
+        log_event(
+            self._logger, "zone_session_end",
+            zone=self.zone, results=len(pipeline.results),
+            wall_s=wall_s, interrupted=self._interrupted,
+        )
+        return self.report(summary)
+
+    def report(self, summary: Mapping[str, float]) -> SessionReport:
+        """The report over everything the pipeline has served so far.
+
+        :meth:`finish` calls it with the session totals; a zone gateway
+        calls it directly for a zone that died and stays down, whose
+        session never finishes.
+        """
+        pipeline = self.pipeline
         truth = self.deployment.tracking_truth
         errors = tuple(
             estimation_error(r.position, truth[r.tag_id])
             for r in pipeline.results
             if r.tag_id in truth
-        )
-        log_event(
-            self._logger, "zone_session_end",
-            zone=self.zone, results=len(pipeline.results),
-            wall_s=wall_s, interrupted=self._interrupted,
         )
         return SessionReport(
             results=pipeline.results,

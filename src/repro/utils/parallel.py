@@ -1,40 +1,24 @@
-"""Trial-level parallelism helpers.
+"""Worker-count and chunk-size helpers for process-pool fan-out.
 
-Monte-Carlo experiment trials are embarrassingly parallel: each trial
-builds its own frozen world from its own seed and shares nothing. The
-helper below maps a picklable function over trial indices with an
-optional process pool; ``n_jobs=1`` (the default) stays serial, which is
-both the reproducible path and the fastest one for small trials where
-process start-up dominates.
+Monte-Carlo experiment trials and engine shards are embarrassingly
+parallel: each builds its own frozen world from its own seed and shares
+nothing. :func:`repro.engine.sharding.map_shards` fans them out over a
+process pool; the helpers below size that pool and its chunks.
+``n_jobs=1`` (the default) stays serial, which is both the reproducible
+path and the fastest one for small workloads where process start-up
+dominates.
 
 Guidance applied from the HPC notes: measure before parallelizing — the
 per-trial work here is a few milliseconds of vectorized numpy, so the
 pool only pays off for large sweeps (Fig. 7's density sweep); hence
 opt-in rather than default.
-
-Supervision: passing a :class:`~repro.runtime.policy.RuntimePolicy` with
-``supervised=True`` routes the pool through
-:class:`~repro.runtime.supervisor.SupervisedPool` — per-chunk deadlines,
-bounded retries, pool respawn on worker death, and a deterministic
-serial fallback. Results stay bit-identical either way: supervision
-changes scheduling, never the per-index computation.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
-from ..exceptions import ConfigurationError
-
-if TYPE_CHECKING:  # runtime import stays lazy (no utils -> runtime cycle)
-    from ..runtime.policy import RuntimePolicy
-
-T = TypeVar("T")
-
-__all__ = ["map_trials", "resolve_n_jobs", "compute_chunksize"]
+__all__ = ["resolve_n_jobs", "compute_chunksize"]
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -64,77 +48,3 @@ def compute_chunksize(n_items: int, n_workers: int, *, per_worker: int = 4) -> i
     if n_items <= 0 or n_workers <= 0:
         return 1
     return max(1, n_items // (n_workers * per_worker))
-
-
-def _check_indices(indices: Sequence[Any]) -> None:
-    """Reject non-integer trial indices — including bools.
-
-    ``isinstance(True, int)`` holds in Python, so a plain ``isinstance``
-    guard silently accepts ``[True, False]`` and maps trials 1 and 0 —
-    a classic footgun when a predicate list is passed where an index
-    list was meant. Bools are therefore rejected explicitly.
-    """
-    for i in indices:
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise ConfigurationError(
-                f"trial indices must be integers (bool not allowed), "
-                f"got {i!r}"
-            )
-
-
-def _apply_chunk(fn: Callable[[int], T], chunk: Sequence[int]) -> list[T]:
-    """Module-level chunk runner (picklable unit for the supervised pool)."""
-    return [fn(i) for i in chunk]
-
-
-def map_trials(
-    fn: Callable[[int], T],
-    trial_indices: Sequence[int],
-    *,
-    n_jobs: int | None = None,
-    policy: "RuntimePolicy | None" = None,
-    metrics: Any | None = None,
-) -> list[T]:
-    """Apply ``fn`` to each trial index, optionally across processes.
-
-    Results are returned in input order regardless of completion order,
-    so parallel and serial runs are bit-identical given seeded trials
-    (chunked dispatch only changes how indices are shipped to workers,
-    never the per-index computation). ``fn`` must be picklable (a
-    module-level function or a functools partial of one) when
-    ``n_jobs != 1``.
-
-    Parameters
-    ----------
-    policy:
-        Optional :class:`~repro.runtime.policy.RuntimePolicy`; with
-        ``supervised=True`` the pool gains deadlines, retries, respawn
-        and the serial fallback (see :mod:`repro.runtime.supervisor`).
-    metrics:
-        Optional duck-typed metrics registry for the supervision
-        counters.
-    """
-    jobs = resolve_n_jobs(n_jobs)
-    indices = list(trial_indices)
-    _check_indices(indices)
-    if jobs == 1 or len(indices) <= 1:
-        return [fn(i) for i in indices]
-    workers = min(jobs, len(indices))
-    chunksize = compute_chunksize(len(indices), workers)
-    if policy is not None and policy.supervised:
-        from ..runtime.supervisor import supervised_map  # lazy: no cycle
-
-        chunks = [
-            indices[lo:lo + chunksize]
-            for lo in range(0, len(indices), chunksize)
-        ]
-        nested = supervised_map(
-            partial(_apply_chunk, fn),
-            chunks,
-            max_workers=workers,
-            policy=policy,
-            metrics=metrics,
-        )
-        return [item for chunk in nested for item in chunk]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices, chunksize=chunksize))

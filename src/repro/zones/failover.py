@@ -2,8 +2,8 @@
 
 This module is the reliability layer between the
 :class:`~repro.zones.gateway.ZoneGateway` and its
-:class:`~repro.zones.worker.ZoneWorker` fleet. The gateway never touches
-a worker directly when failover is enabled; every call goes through a
+:class:`~repro.zones.worker.ZoneWorker` fleet. The gateway's lockstep
+loop never touches a worker directly; every call goes through a
 :class:`ZoneChannel`, which
 
 * **journals** every gateway→worker tag-surface call (activate /
@@ -30,16 +30,18 @@ Admission control (:class:`AdmissionPolicy` + :class:`TokenBucket`) is
 the SLO guard on the same path: a deterministic token bucket on the
 zone's *simulation* clock sheds localization queries before they enter a
 saturated pipeline (shed-newest: the schedule still advances, the shed
-is counted, admitted work is never abandoned). Disabled by default —
-the bit-identity contract with the unfailover'd gateway holds.
+is counted, admitted work is never abandoned). Disabled by default, so
+a fault-free run serves exactly what the zones' own sessions serve.
 
 Determinism notes
 -----------------
 The journal defers surface calls to just before the chunk they precede.
 A zone's simulation clock only advances inside ``step()``, so a deferred
 call observes exactly the worker state an immediate call would have —
-which is why the default channel path is bit-identical to the direct
-PR-6 loop, and why a respawn replay (same journal, same seeded world)
+which is why a fault-free run through the channels serves exactly what
+each zone's own session would (``benchmarks/bench_zone_failover.py``
+compares it with independent :func:`~repro.zones.worker.run_zone`
+sessions), and why a respawn replay (same journal, same seeded world)
 reconverges exactly.
 """
 
@@ -56,7 +58,6 @@ from ..runtime.policy import RetryPolicy
 from ..service.metrics import get_service_logger, log_event
 from ..service.pipeline import ServiceConfig, ServiceResult
 from ..service.session import SessionReport
-from ..types import estimation_error
 from .spec import ZoneSpec, slice_fault_plan
 from .worker import ZoneWorker, _tag_id
 
@@ -636,7 +637,7 @@ class ZoneChannel:
             self.worker.interrupt()
 
     def finish(self) -> SessionReport:
-        """The zone's session report; synthesized for a dead zone.
+        """The zone's session report; a dead zone's is what it served.
 
         A down zone's worker was aborted (its WAL closed as the crash
         left it), but the pipeline object still holds everything served
@@ -646,23 +647,10 @@ class ZoneChannel:
         """
         if not self._down:
             return self._scoped(self.worker.finish)
-        pipeline = self.worker.pipeline
-        summary = dict(pipeline.metrics_summary())
+        summary = dict(self.worker.pipeline.metrics_summary())
         summary["zone_down"] = 1.0
         summary["interim_results"] = float(len(self.interim_served))
-        errors = tuple(
-            estimation_error(
-                r.position, self.worker.deployment.tracking_truth[r.tag_id]
-            )
-            for r in pipeline.results
-            if r.tag_id in self.worker.deployment.tracking_truth
-        )
-        return SessionReport(
-            results=pipeline.results,
-            summary=summary,
-            metrics=self.worker.metrics,
-            errors_m=errors,
-        )
+        return self.worker.report(summary)
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the channel's supervision accounting."""
@@ -683,8 +671,11 @@ class ZoneChannel:
     def _scoped(self, fn, *args):
         """Call into the worker with the tracer clock on its timeline.
 
-        Mirrors :meth:`ZoneGateway._worker_scope`: spans emitted inside
-        a worker call are stamped with that zone's simulation time.
+        Each zone has its own simulation clock; spans emitted inside a
+        worker call (``zone.tick``, ``service.batch``, ...) are stamped
+        with that zone's time, while gateway spans between calls stay on
+        the gateway's τ-clock. Swapping the shared tracer's clock around
+        each call keeps both deterministic.
         """
         tracer = self._tracer
         if tracer is None:

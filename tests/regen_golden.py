@@ -24,7 +24,10 @@ on a single-ULP drift in any of them. Three scenarios are traced:
   trigger is pinned, so control-flow changes cannot land silently;
 * ``trace_fig6.json`` — the logical ``vire.estimate`` span trees for one
   frozen trial of the Fig. 6 scenario in all three environments
-  (thresholds, selected-cell counts, fallbacks).
+  (thresholds, selected-cell counts, fallbacks);
+* ``zones_roaming.json`` — the multi-zone witness of a fault-free 2-zone
+  gateway run with one roaming tag crossing the zone boundary: every
+  zone's answers, errors and the handoff trail, floats as hex.
 
 Regenerate **only** when a numerical change is intentional, and say why
 in the commit message.
@@ -412,6 +415,55 @@ def build_report_capacity() -> dict:
     }
 
 
+ZONES_SEED = 0
+ZONES_DURATION_S = 6.0
+
+
+def zones_roaming_plan():
+    """Two Env1 zones; one tag walks from z0 across the boundary into z1."""
+    from repro.zones import RoamingTag, scaled_site_plan
+
+    tag = RoamingTag(
+        label="roam-0",
+        route=((0.0, (1.5, 1.5)), (ZONES_DURATION_S, (6.0, 1.5))),
+    )
+    return replace(
+        scaled_site_plan("Env1", 2, seed=ZONES_SEED), roaming=(tag,)
+    )
+
+
+def _hex_floats(doc):
+    """``doc`` with every float replaced by its IEEE-754 hex string."""
+    if isinstance(doc, float):
+        return _hex(doc)
+    if isinstance(doc, dict):
+        return {k: _hex_floats(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_hex_floats(v) for v in doc]
+    return doc
+
+
+def build_zones_roaming() -> dict:
+    """Witness of the fault-free roaming run through the zone gateway.
+
+    Pins the lockstep loop end to end: per-zone answers, the handoff
+    protocol (crossing time, carried estimate) and ownership routing.
+    """
+    from repro.service import ServiceConfig
+    from repro.zones import ZoneGateway
+
+    config = ServiceConfig(query_interval_s=1.0)
+    require_exact_precision(config)
+    report = ZoneGateway(zones_roaming_plan(), config).run(ZONES_DURATION_S)
+    return {
+        "scenario": "zones-roaming: fault-free 2-zone Env1 gateway run, one "
+        f"roaming tag crossing z0 -> z1 (seed {ZONES_SEED})",
+        "seed": ZONES_SEED,
+        "duration_s": ZONES_DURATION_S,
+        "witness": _hex_floats(report.witness_document()),
+    }
+
+
 BUILDERS = {
     "paper_config.json": build_paper_trace,
     "masked_reading.json": build_masked_trace,
@@ -420,6 +472,7 @@ BUILDERS = {
     "trace_fig6.json": build_trace_fig6,
     "report_schedule.json": build_report_schedule,
     "report_capacity.json": build_report_capacity,
+    "zones_roaming.json": build_zones_roaming,
 }
 
 

@@ -30,6 +30,7 @@ from .regen_golden import (
     build_report_schedule,
     build_trace_fig6,
     build_trace_serve,
+    build_zones_roaming,
     chaos_result_docs,
     masked_readings,
     paper_estimator,
@@ -224,3 +225,16 @@ class TestLoadReportsMatchGolden:
     def test_fixtures_carry_no_wall_clock_fields(self):
         for name in ("report_schedule.json", "report_capacity.json"):
             assert "wall" not in json.dumps(_load(name))
+
+
+class TestZoneGatewayMatchesGolden:
+    """The zone gateway's lockstep loop is pinned to disk.
+
+    ``zones_roaming.json`` freezes a fault-free 2-zone run with one tag
+    handed off from z0 to z1: every zone's answers and errors, the
+    handoff's crossing time and carried estimate — all as IEEE-754 hex.
+    Supervision, journaling and routing changes must leave it untouched.
+    """
+
+    def test_zones_roaming(self):
+        assert build_zones_roaming() == _load("zones_roaming.json")

@@ -22,7 +22,6 @@ from repro.exceptions import ConfigurationError, SupervisionError
 from repro.runtime import RuntimePolicy, SupervisedPool, supervised_map
 from repro.runtime.supervisor import run_shard_with_salvage
 from repro.service.metrics import MetricsRegistry
-from repro.utils.parallel import map_trials
 
 
 # -- picklable worker fixtures (module level by necessity) -------------------
@@ -227,17 +226,9 @@ class TestShardSalvage:
         assert out == ["KeyError"]
 
 
-# -- wiring: map_trials / map_shards under supervision -----------------------
+# -- wiring: map_shards under supervision ------------------------------------
 
 class TestSupervisedWiring:
-    def test_map_trials_supervised_crash_recovery(self):
-        policy = RuntimePolicy(supervised=True, backoff_base_s=0.0)
-        serial = map_trials(_crash_on_three, range(10), n_jobs=1)
-        supervised = map_trials(
-            _crash_on_three, range(10), n_jobs=2, policy=policy
-        )
-        assert supervised == serial == [i * i for i in range(10)]
-
     def test_map_shards_supervised_crash_recovery(self):
         config = EngineConfig(
             n_jobs=2, shard_size=2,
@@ -270,14 +261,3 @@ class TestBoolGuards:
     def test_compute_shards_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             compute_shards(-1)
-
-    def test_map_trials_rejects_bool_indices(self):
-        with pytest.raises(ConfigurationError, match="bool"):
-            map_trials(_square, [True, False])  # type: ignore[list-item]
-
-    def test_map_trials_rejects_mixed_bool(self):
-        with pytest.raises(ConfigurationError, match="bool"):
-            map_trials(_square, [0, 1, True])  # type: ignore[list-item]
-
-    def test_map_trials_still_accepts_plain_ints(self):
-        assert map_trials(_square, [0, 1, 2]) == [0, 1, 4]

@@ -16,7 +16,7 @@ from repro.utils.ascii import (
     line_chart,
     proximity_map_art,
 )
-from repro.utils.parallel import compute_chunksize, map_trials, resolve_n_jobs
+from repro.utils.parallel import compute_chunksize, resolve_n_jobs
 from repro.utils.rng import derive_rng, derive_seed, rngs_for, spawn_rngs
 from repro.utils.validation import (
     ensure_finite,
@@ -204,23 +204,11 @@ class TestAscii:
 
 
 class TestParallel:
-    def test_serial_map_order(self):
-        assert map_trials(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
-
     def test_resolve_defaults(self):
         assert resolve_n_jobs(None) == 1
         assert resolve_n_jobs(1) == 1
         assert resolve_n_jobs(3) == 3
         assert resolve_n_jobs(0) >= 1
-
-    def test_parallel_map_matches_serial(self):
-        serial = map_trials(_square, range(6), n_jobs=1)
-        parallel = map_trials(_square, range(6), n_jobs=2)
-        assert serial == parallel
-
-    def test_rejects_non_int_indices(self):
-        with pytest.raises(ConfigurationError):
-            map_trials(lambda i: i, ["a"])  # type: ignore[list-item]
 
 
 class TestChunksize:
@@ -234,19 +222,21 @@ class TestChunksize:
         assert compute_chunksize(10, 0) == 1
 
     def test_chunked_dispatch_is_bit_identical_to_serial(self):
-        # 32 items over 2 workers → chunksize 4: chunked pickling must not
-        # change any per-index result, down to the last float bit.
-        indices = range(32)
-        serial = map_trials(_seeded_draw, indices, n_jobs=1)
-        chunked = map_trials(_seeded_draw, indices, n_jobs=2)
+        # 32 items over 2 workers → chunksize 4: map_shards ships shards
+        # of that size to the pool, and chunked pickling must not change
+        # any per-index result, down to the last float bit.
+        from repro.engine import EngineConfig
+        from repro.engine.sharding import map_shards
+
+        serial = map_shards(_seeded_draws, 32, config=EngineConfig(n_jobs=1))
+        chunked = map_shards(_seeded_draws, 32, config=EngineConfig(n_jobs=2))
         assert compute_chunksize(32, 2) > 1  # the pool really chunks
         assert chunked == serial  # exact float equality, in order
 
 
-def _square(i: int) -> int:
-    return i * i
-
-
-def _seeded_draw(i: int) -> tuple[float, float]:
-    rng = np.random.default_rng(i)
-    return (float(rng.standard_normal()), float(rng.uniform()))
+def _seeded_draws(shard) -> list[tuple[float, float]]:
+    out = []
+    for i in shard:
+        rng = np.random.default_rng(i)
+        out.append((float(rng.standard_normal()), float(rng.uniform())))
+    return out

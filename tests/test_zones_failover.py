@@ -2,8 +2,8 @@
 
 The contract under test (docs/ZONES.md, "Failover"):
 
-* empty fault plan → the supervised loop is byte-identical to the bare
-  gateway loop (and hence to every pre-failover golden witness);
+* empty fault plan → supervision is invisible (the roaming witness is
+  pinned by ``tests/golden/zones_roaming.json``);
 * zone crash with respawn → byte-identical to the uninterrupted run
   (cold respawn replays the full journal; checkpointed respawn resumes
   from the zone's WAL and replays the gap);
@@ -21,11 +21,13 @@ import json
 
 import pytest
 
+from repro.calibration import CalibrationPolicy
 from repro.exceptions import ConfigurationError
 from repro.faults import (
     FaultInjector,
     FaultPlan,
     SlowZoneFault,
+    TagDeathFault,
     WorkerHangFault,
     ZoneCrashFault,
     ZoneLinkLossFault,
@@ -156,10 +158,6 @@ class TestZoneFaultModels:
 class TestFailoverIdentity:
     """Supervision is invisible unless a fault actually fires."""
 
-    def test_empty_plan_matches_bare_loop(self, baseline_witness):
-        bare = ZoneGateway(_roaming_plan(), _config(), failover=None)
-        assert _witness(bare.run(6.0)) == baseline_witness
-
     def test_crash_cold_respawn_is_byte_identical(self, baseline_witness):
         report = ZoneGateway(
             _roaming_plan(), _config(), fault_plan=CRASH_Z0
@@ -285,6 +283,33 @@ class TestZoneDownDegradation:
         summary = down_report.zones["z0"].summary
         assert summary["zone_down"] == 1.0
 
+    def test_down_zone_keeps_its_calibration_events(self):
+        # z0's reference tag ref-5 browns out long before it would die,
+        # so z0's drift corrector quarantines it; z0 then crashes and,
+        # without a respawn budget, stays down to the end.
+        plan = scaled_site_plan("Env1", 2, seed=0)
+        config = _config(calibration=CalibrationPolicy())
+        brownout = TagDeathFault(
+            "z0/ref-5", death_time_s=30.0,
+            decay_db_per_s=4.0, decay_duration_s=29.0,
+        )
+        clean = ZoneGateway(
+            plan, config, fault_plan=FaultPlan([brownout])
+        ).run(12.0)
+        events = clean.zones["z0"].calibration_events
+        assert [e["event"] for e in events] == ["quarantine"]
+        down = ZoneGateway(
+            plan, config,
+            fault_plan=FaultPlan([brownout, ZoneCrashFault("z0", at_s=10.0)]),
+            failover=ZoneFailoverPolicy(respawn=False),
+        ).run(12.0)
+        report = down.zones["z0"]
+        assert report.summary["zone_down"] == 1.0
+        assert report.calibration_events == events
+        assert report.witness_document()["calibration_events"] == [
+            dict(e) for e in events
+        ]
+
 
 class TestSaturationShedding:
     def test_preferred_zone_saturated_reroutes_handoff(self):
@@ -385,12 +410,9 @@ class TestAdmissionControl:
 
 
 class TestGatewayGuards:
-    def test_zone_faults_require_failover(self):
-        with pytest.raises(ConfigurationError):
-            ZoneGateway(
-                _roaming_plan(), _config(), fault_plan=CRASH_Z0,
-                failover=None,
-            )
+    def test_failover_none_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="ZoneFailoverPolicy"):
+            ZoneGateway(_roaming_plan(), _config(), failover=None)
 
     def test_zone_faults_reject_parallel(self):
         plan = scaled_site_plan("Env1", 2, seed=0)
@@ -461,21 +483,6 @@ class TestFailoverCLI:
         assert "failover" not in clean
         killed.pop("failover")
         assert killed == clean
-
-    def test_no_failover_flag_matches_supervised(self, capsys):
-        from repro.cli import main
-
-        def run(extra):
-            main([
-                "serve", "--env", "Env1", "--zones", "2",
-                "--duration", "3", "--query-interval", "1", "--json",
-                *extra,
-            ])
-            out = json.loads(capsys.readouterr().out)
-            out.pop("failover", None)
-            return out
-
-        assert run(["--no-failover"]) == run([])
 
     def test_kill_zone_flag_validation(self, capsys):
         from repro.cli import main
